@@ -6,6 +6,41 @@ values in float64 with straight-through surrogate gradients on an explicit
 tape.  Includes an MLM/NSP pretraining pipeline for toy corpora, optional
 distillation from a full-precision twin, and low-rank estimators of the
 attention binarization residual.
+
+``BITFORMER_THREADS=N`` sets the BLAS and OpenMP thread pools to N threads.
+It is applied here, on import of the package and before any submodule loads
+numpy, by setting the ``*_NUM_THREADS`` variables; in a process that loaded
+numpy before this package it has no effect.
 """
 
+from __future__ import annotations
+
+import os
+
 __version__ = "0.1.0"
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def thread_cap() -> int | None:
+    """The thread count ``BITFORMER_THREADS`` asks for; None when it is unset."""
+    raw = os.environ.get("BITFORMER_THREADS")
+    if not raw:
+        return None
+    try:
+        return max(1, int(raw))
+    except ValueError as err:
+        raise ValueError(f"BITFORMER_THREADS must be an integer, got {raw!r}") from err
+
+
+def _set_thread_vars() -> None:
+    try:
+        cap = thread_cap()
+    except ValueError:  # the command line reports it and exits 2
+        return
+    if cap is not None:
+        for var in _THREAD_VARS:
+            os.environ[var] = str(cap)
+
+
+_set_thread_vars()

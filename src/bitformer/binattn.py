@@ -20,10 +20,23 @@ paths model what weight binarization throws away:
   rides on the same selection pattern as the binary value mix, recovering
   the value-projection remainder the same way.
 
-``attention_forward`` is the float simulation used for training and can
-record onto a tape; ``attention_forward_packed`` evaluates the identical
-layer with packed-word kernels and agrees with the simulation to float
-accuracy (the tests pin 1e-8).
+The layer is defined once, in :func:`attend`, over an op set that supplies
+only what differs between routes: the embedding-table binarizer (``embed``),
+the projections (``linear``), one head's ``scores`` product, the ``select``
+step that binarizes the attention map, and the value ``mix``.  Everything
+else (slices, softmax, estimator paths, norms) is the same ``numerics`` ops in
+every route.  There are three op sets:
+
+* :class:`SimOps` — float simulation, taped or not, hard or relaxed; what
+  training runs (``attention_forward``).
+* :class:`PackedOps` — the binary products on bit-packed words; evaluation
+  only, agreeing with the simulation to float accuracy (the tests pin 1e-8)
+  (``attention_forward_packed``).
+* :class:`FullPrecisionOps` — the float twin: plain affine maps and identity
+  binarizers.
+
+Padded keys get a large negative score bias and are gated out of the
+selection, so no threshold can select them.
 """
 
 from __future__ import annotations
@@ -38,7 +51,6 @@ from .numerics import (
     Array,
     DenseMatrix,
     Tape,
-    _softmax_rows_np,
     add,
     add_bias,
     add_constant,
@@ -53,7 +65,6 @@ from .quant import (
     ALPHA_FLOOR,
     ElasticQuant,
     QuantMode,
-    attention_selection_bits,
     binarize_activation_pm1,
     binarize_attention_01,
     binarize_weight,
@@ -62,7 +73,11 @@ from .quant import (
 
 __all__ = [
     "AttentionLayerState",
+    "FullPrecisionOps",
+    "PackedOps",
     "ResidualEstimators",
+    "SimOps",
+    "attend",
     "attention_forward",
     "attention_forward_packed",
     "binary_linear",
@@ -73,6 +88,8 @@ __all__ = [
     "score_residual",
     "zero_estimators",
 ]
+
+PAD_SCORE_BIAS = -1e9
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +268,12 @@ class AttentionLayerState:
     estimators: ResidualEstimators | None = None
 
     @property
-    def hidden(self) -> int:
-        return self.wq.rows
-
-    @property
     def head_width(self) -> int:
-        return self.hidden // self.heads
+        return self.wq.rows // self.heads
 
     def binarizers(self) -> list[ElasticQuant]:
         out = [self.in_q, self.in_k, self.in_v, self.in_o]
         out += self.head_q + self.head_k + self.head_v + self.head_att
-        return out
-
-    def parameters(self) -> list[DenseMatrix]:
-        out = [self.wq, self.wk, self.wv, self.wo, self.bq, self.bk, self.bv, self.bo]
-        for q in self.binarizers():
-            out += [q.alpha, q.beta]
-        if self.estimators is not None:
-            out += self.estimators.parameters()
         return out
 
 
@@ -343,14 +348,96 @@ def binary_linear(
     return add_bias(tape, matmul(tape, aq, transpose(tape, wb)), b)
 
 
+def _level(q: ElasticQuant) -> float:
+    return max(float(q.alpha.data[0, 0]), ALPHA_FLOOR)
+
+
+def _pack_shifted(x: Array, q: ElasticQuant):
+    """Sign bits of ``x - beta``: the ±1 pattern of ``binarize_activation_pm1``."""
+    return pack_signs(x - float(q.beta.data[0, 0]))
+
+
 def binary_linear_packed(a: Array, w: DenseMatrix, b: DenseMatrix, in_q: ElasticQuant) -> Array:
     """Packed-kernel twin of :func:`binary_linear` (hard mode)."""
-    alpha = max(float(in_q.alpha.data[0, 0]), ALPHA_FLOOR)
-    beta = float(in_q.beta.data[0, 0])
-    scales = alpha * weight_row_scales(w.data)
-    bits_a = pack_signs(a - beta)
+    scales = _level(in_q) * weight_row_scales(w.data)
     bits_w = pack_signs(w.data - w.data.mean(axis=1, keepdims=True))
-    return binary_gemm(bits_a, bits_w, scales).data + b.data
+    return binary_gemm(_pack_shifted(a, in_q), bits_w, scales).data + b.data
+
+
+class SimOps:
+    """Float simulation of every binary product: taped or not, hard or relaxed."""
+
+    def __init__(self, tape: Tape | None = None, mode: QuantMode = "hard"):
+        self.tape, self.mode = tape, mode
+
+    def attention(self, a: DenseMatrix, layer: AttentionLayerState, key_mask) -> DenseMatrix:
+        return attention_forward(self.tape, a, layer, self.mode, key_mask)
+
+    def embed(self, rows: DenseMatrix) -> DenseMatrix:
+        return binarize_weight(self.tape, rows, self.mode)
+
+    def linear(self, a, w, b, in_q) -> DenseMatrix:
+        return binary_linear(self.tape, a, w, b, in_q, self.mode)
+
+    def scores(self, q, k, q_bin: ElasticQuant, k_bin: ElasticQuant) -> DenseMatrix:
+        qb = binarize_activation_pm1(self.tape, q, q_bin, self.mode)
+        kb = binarize_activation_pm1(self.tape, k, k_bin, self.mode)
+        return matmul(self.tape, qb, transpose(self.tape, kb))
+
+    def select(self, att, att_bin: ElasticQuant, key_mask) -> DenseMatrix:
+        return binarize_attention_01(self.tape, att, att_bin, self.mode, key_mask)
+
+    def mix(self, sel, v, v_bin: ElasticQuant, att_bin: ElasticQuant) -> DenseMatrix:
+        return matmul(self.tape, sel, binarize_activation_pm1(self.tape, v, v_bin, self.mode))
+
+
+class PackedOps(SimOps):
+    """Binary products on bit-packed words; untaped and hard, evaluation only.
+
+    Agreement with :class:`SimOps` assumes generic binarizer parameters: if an
+    activation lands exactly on a sign threshold (possible at the
+    all-zero-threshold init, where some activations are exact ±1-lattice
+    cancellations), the integer accumulator and float summation may resolve
+    its sign differently.
+    """
+
+    def attention(self, a, layer, key_mask) -> DenseMatrix:
+        return DenseMatrix(attention_forward_packed(a.data, layer, key_mask))
+
+    def linear(self, a, w, b, in_q) -> DenseMatrix:
+        return DenseMatrix(binary_linear_packed(a.data, w, b, in_q))
+
+    def scores(self, q, k, q_bin, k_bin) -> DenseMatrix:
+        return binary_gemm(
+            _pack_shifted(q.data, q_bin), _pack_shifted(k.data, k_bin), _level(q_bin) * _level(k_bin)
+        )
+
+    def mix(self, sel, v, v_bin, att_bin) -> DenseMatrix:
+        bits_sel = pack_signs(np.where(sel.data != 0.0, 1.0, -1.0))
+        bits_v = _pack_shifted(v.data.T, v_bin)  # gemm wants value rows as output columns
+        return ternary_binary_gemm(bits_sel, bits_v, float(att_bin.alpha.data[0, 0]) * _level(v_bin))
+
+
+class FullPrecisionOps(SimOps):
+    """The float twin: plain affine maps, every binarizer the identity."""
+
+    def attention(self, a, layer, key_mask) -> DenseMatrix:
+        return attend(self, a, layer, key_mask)
+
+    def embed(self, rows):
+        return rows
+
+    def linear(self, a, w, b, in_q=None) -> DenseMatrix:
+        return add_bias(self.tape, matmul(self.tape, a, transpose(self.tape, w)), b)
+
+    def scores(self, q, k, q_bin, k_bin) -> DenseMatrix:
+        return matmul(self.tape, q, transpose(self.tape, k))
+
+    def select(self, att, att_bin, key_mask):
+        return att  # padded keys already hold exactly zero softmax mass
+
+    def mix(self, sel, v, v_bin, att_bin) -> DenseMatrix:
+        return matmul(self.tape, sel, v)
 
 
 def _score_blocks(layer: AttentionLayerState) -> list[tuple[int, int] | None]:
@@ -361,28 +448,28 @@ def _score_blocks(layer: AttentionLayerState) -> list[tuple[int, int] | None]:
     return [(lo, hi) if lo < hi else None for lo, hi in head_rank_blocks(est.rank, layer.heads)]
 
 
-def attention_forward(
-    tape: Tape | None,
+def attend(
+    ops: SimOps,
     a: DenseMatrix,
     layer: AttentionLayerState,
-    mode: QuantMode = "hard",
-    pad_bias: Array | None = None,
+    key_mask: Array | None = None,
     trace: dict | None = None,
 ) -> DenseMatrix:
-    """Float-simulated binary attention over one sequence (rows = positions).
+    """One attention layer over one sequence (rows = positions), in any op set.
 
-    ``pad_bias`` is an additive (n, n) score bias (large negative on padded
-    key columns), applied after the head-width scaling.  ``trace``, when a
-    dict, receives per-head soft maps ("att") and hard selections
+    ``key_mask`` marks real key positions with True; padded keys take a
+    large negative score bias and are never selected.  ``trace``, when a
+    dict, receives per-head soft maps ("att") and selections
     ("att_selected").
     """
+    tape = ops.tape
     dk = layer.head_width
     inv = 1.0 / math.sqrt(dk)
     est = layer.estimators
 
-    q = binary_linear(tape, a, layer.wq, layer.bq, layer.in_q, mode)
-    k = binary_linear(tape, a, layer.wk, layer.bk, layer.in_k, mode)
-    v = binary_linear(tape, a, layer.wv, layer.bv, layer.in_v, mode)
+    q = ops.linear(a, layer.wq, layer.bq, layer.in_q)
+    k = ops.linear(a, layer.wk, layer.bk, layer.in_k)
+    v = ops.linear(a, layer.wv, layer.bv, layer.in_v)
 
     kq_blocks = _score_blocks(layer)
     if est is not None and est.use_attv:
@@ -390,19 +477,16 @@ def attention_forward(
         vt_star = transpose(tape, est.v_v_star)
     else:
         au = vt_star = None
+    pad_bias = None if key_mask is None else np.where(key_mask, 0.0, PAD_SCORE_BIAS)
 
     if trace is not None:
-        trace["att"] = []
-        trace["att_selected"] = []
+        trace["att"], trace["att_selected"] = [], []
 
     ctx_parts: list[DenseMatrix] = []
     for h in range(layer.heads):
         lo, hi = h * dk, (h + 1) * dk
-        qb = binarize_activation_pm1(tape, slice_cols(tape, q, lo, hi), layer.head_q[h], mode)
-        kb = binarize_activation_pm1(tape, slice_cols(tape, k, lo, hi), layer.head_k[h], mode)
-        vb = binarize_activation_pm1(tape, slice_cols(tape, v, lo, hi), layer.head_v[h], mode)
-
-        scores = matmul(tape, qb, transpose(tape, kb))
+        q_h, k_h = slice_cols(tape, q, lo, hi), slice_cols(tape, k, lo, hi)
+        scores = ops.scores(q_h, k_h, layer.head_q[h], layer.head_k[h])
         if kq_blocks[h] is not None:
             scores = add(tape, scores, score_residual(tape, a, est, kq_blocks[h]))
         scores = scale(tape, scores, inv)
@@ -410,81 +494,35 @@ def attention_forward(
             scores = add_constant(tape, scores, pad_bias)
 
         att = softmax_rows(tape, scores)
-        attb = binarize_attention_01(tape, att, layer.head_att[h], mode)
-
-        ctx = matmul(tape, attb, vb)
+        sel = ops.select(att, layer.head_att[h], key_mask)
+        ctx = ops.mix(sel, slice_cols(tape, v, lo, hi), layer.head_v[h], layer.head_att[h])
         if au is not None:
-            ctx = add(tape, ctx, matmul(tape, matmul(tape, attb, au), slice_cols(tape, vt_star, lo, hi)))
+            ctx = add(tape, ctx, matmul(tape, matmul(tape, sel, au), slice_cols(tape, vt_star, lo, hi)))
         ctx_parts.append(ctx)
 
         if trace is not None:
             trace["att"].append(att.data.copy())
-            trace["att_selected"].append((attb.data != 0.0).astype(np.float64))
+            trace["att_selected"].append((sel.data != 0.0).astype(np.float64))
 
-    ctx_all = concat_cols(tape, ctx_parts)
-    return binary_linear(tape, ctx_all, layer.wo, layer.bo, layer.in_o, mode)
+    return ops.linear(concat_cols(tape, ctx_parts), layer.wo, layer.bo, layer.in_o)
+
+
+def attention_forward(
+    tape: Tape | None,
+    a: DenseMatrix,
+    layer: AttentionLayerState,
+    mode: QuantMode = "hard",
+    key_mask: Array | None = None,
+    trace: dict | None = None,
+) -> DenseMatrix:
+    """Float-simulated binary attention: :func:`attend` over :class:`SimOps`."""
+    return attend(SimOps(tape, mode), a, layer, key_mask, trace)
 
 
 def attention_forward_packed(
     a: Array,
     layer: AttentionLayerState,
-    pad_bias: Array | None = None,
+    key_mask: Array | None = None,
 ) -> Array:
-    """Packed-kernel attention: same layer, bit-level kernels, hard mode.
-
-    Mirrors :func:`attention_forward` operation for operation so the two
-    routes agree to float accuracy; only the binary products themselves run
-    through popcount accumulators instead of float multiplies.  Agreement
-    assumes generic binarizer parameters: if an activation lands exactly on
-    a sign threshold (possible at the all-zero-threshold init, where some
-    activations are exact ±1-lattice cancellations), the integer accumulator
-    and float summation may resolve its sign differently.
-    """
-    a_np = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-    dk = layer.head_width
-    inv = 1.0 / math.sqrt(dk)
-    est = layer.estimators
-
-    q = binary_linear_packed(a_np, layer.wq, layer.bq, layer.in_q)
-    k = binary_linear_packed(a_np, layer.wk, layer.bk, layer.in_k)
-    v = binary_linear_packed(a_np, layer.wv, layer.bv, layer.in_v)
-
-    kq_blocks = _score_blocks(layer)
-    if est is not None and est.use_attv:
-        au = a_np @ est.u_v_star.data
-        vt_star = np.ascontiguousarray(est.v_v_star.data.T)
-    else:
-        au = vt_star = None
-
-    ctx_parts: list[Array] = []
-    for h in range(layer.heads):
-        lo, hi = h * dk, (h + 1) * dk
-        alpha_q = max(float(layer.head_q[h].alpha.data[0, 0]), ALPHA_FLOOR)
-        alpha_k = max(float(layer.head_k[h].alpha.data[0, 0]), ALPHA_FLOOR)
-        alpha_v = max(float(layer.head_v[h].alpha.data[0, 0]), ALPHA_FLOOR)
-        beta_q = float(layer.head_q[h].beta.data[0, 0])
-        beta_k = float(layer.head_k[h].beta.data[0, 0])
-        beta_v = float(layer.head_v[h].beta.data[0, 0])
-
-        bits_q = pack_signs(q[:, lo:hi] - beta_q)
-        bits_k = pack_signs(k[:, lo:hi] - beta_k)
-        scores = binary_gemm(bits_q, bits_k, alpha_q * alpha_k).data
-        if kq_blocks[h] is not None:
-            scores = scores + score_residual(None, DenseMatrix(a_np), est, kq_blocks[h]).data
-        scores = scores * inv
-        if pad_bias is not None:
-            scores = scores + pad_bias
-
-        att = _softmax_rows_np(scores)
-        sel = attention_selection_bits(att, layer.head_att[h])
-        alpha_att = float(layer.head_att[h].alpha.data[0, 0])
-
-        bits_sel = pack_signs(2.0 * sel - 1.0)
-        bits_v = pack_signs((v[:, lo:hi] - beta_v).T)  # gemm wants value rows as output columns
-        ctx = ternary_binary_gemm(bits_sel, bits_v, alpha_att * alpha_v).data
-        if au is not None:
-            ctx = ctx + (alpha_att * sel) @ au @ np.ascontiguousarray(vt_star[:, lo:hi])
-        ctx_parts.append(ctx)
-
-    ctx_all = np.hstack(ctx_parts)
-    return binary_linear_packed(ctx_all, layer.wo, layer.bo, layer.in_o)
+    """Packed-kernel attention, hard mode: :func:`attend` over :class:`PackedOps`."""
+    return attend(PackedOps(), DenseMatrix(a), layer, key_mask).data

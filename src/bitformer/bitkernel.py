@@ -120,7 +120,7 @@ def binary_gemm(a: PackedBitMatrix, b_t: PackedBitMatrix, scale: float | Array) 
     ``scale`` is a scalar or a per-output-column vector of length b_t.rows;
     the readout is a single float multiply of the exact integer accumulator.
     """
-    return ScaledBinaryProduct(binary_accumulate(a, b_t), scale).readout()
+    return DenseMatrix(binary_accumulate(a, b_t) * scale)
 
 
 def ternary_accumulate(sel: PackedBitMatrix, v_t: PackedBitMatrix) -> Array:
@@ -147,18 +147,7 @@ def ternary_accumulate(sel: PackedBitMatrix, v_t: PackedBitMatrix) -> Array:
 
 def ternary_binary_gemm(sel: PackedBitMatrix, v_t: PackedBitMatrix, scale: float | Array) -> DenseMatrix:
     """Scaled selection GEMM: out[i, j] = scale_j * (sel_i . v_j)."""
-    return ScaledBinaryProduct(ternary_accumulate(sel, v_t), scale).readout()
-
-
-@dataclass
-class ScaledBinaryProduct:
-    """Exact integer accumulator plus the float scale applied at readout."""
-
-    accumulator: Array  # int64
-    scale: float | Array
-
-    def readout(self) -> DenseMatrix:
-        return DenseMatrix(self.accumulator * self.scale)
+    return DenseMatrix(ternary_accumulate(sel, v_t) * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import time
@@ -21,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import thread_cap
 from .bitkernel import binary_accumulate, equivalent_flops, pack_signs
 from .data import (
     SPECIAL_TOKENS,
@@ -62,24 +62,6 @@ METRICS_HEADER = "step\tloss_mlm\tloss_nsp\tloss_rep\tloss_logit\tlr\tmasked_acc
 # --------------------------------------------------------------------------
 # shared plumbing
 # --------------------------------------------------------------------------
-
-
-def _apply_thread_cap() -> None:
-    """Honor BITFORMER_THREADS by capping the numeric thread pools."""
-    raw = os.environ.get("BITFORMER_THREADS")
-    if not raw:
-        return
-    try:
-        n = max(1, int(raw))
-    except ValueError as err:
-        raise ValueError(f"BITFORMER_THREADS must be an integer, got {raw!r}") from err
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:  # pragma: no cover - fallback when the helper is absent
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
 
 
 def _build_id() -> str:
@@ -499,7 +481,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage, 0 on --help
         return int(exc.code or 0)
     try:
-        _apply_thread_cap()
+        thread_cap()  # applied on import; a bad value exits 2 here
         return args.func(args)
     except TrainingAbort as err:
         print(f"numeric abort: {err}", file=sys.stderr)

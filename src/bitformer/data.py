@@ -350,11 +350,3 @@ def encode_classification(vocab: Vocab, text: str, max_seq: int) -> tuple[list[i
     ids = vocab.encode(text)[: max_seq - 2]
     tokens = [CLS_ID, *ids, SEP_ID]
     return tokens, [0] * len(tokens)
-
-
-def encode_pair_classification(
-    vocab: Vocab, text_a: str, text_b: str, max_seq: int
-) -> tuple[list[int], list[int]]:
-    """Frame a sentence pair for classification, trimming both sides to fit."""
-    a, b = _truncate_pair(vocab.encode(text_a), vocab.encode(text_b), max_seq - 3)
-    return assemble_pair(a, b)

@@ -9,10 +9,18 @@ heads (token prediction over the vocabulary, 2-way pair-order) stay full
 precision.  A ``full_precision`` config flag builds the float twin of the
 same architecture, used as the distillation teacher.
 
-Forward passes come in two routes that must agree to float accuracy:
-:func:`forward` (float simulation, records onto a tape for training, with a
-"relaxed" mode that runs the binarizer surrogates for finite-difference
-checks) and :func:`forward_packed` (bit-packed kernels, evaluation only).
+The encoder is defined once (``_encode``) over the op sets of
+:mod:`bitformer.binattn`, which supply only the embedding binarizer, the
+projections and the attention products:
+
+* :func:`forward` — float simulation (:class:`~bitformer.binattn.SimOps`);
+  records onto a tape for training, and its "relaxed" mode runs the
+  binarizer surrogates for finite-difference checks.  A full-precision
+  model runs :class:`~bitformer.binattn.FullPrecisionOps` instead.
+* :func:`forward_packed` — bit-packed kernels
+  (:class:`~bitformer.binattn.PackedOps`), evaluation only; agrees with
+  :func:`forward` to float accuracy.
+* :func:`encode` — the hidden states of :func:`forward` without the heads.
 
 Checkpoints are a single little-endian binary container: magic, version,
 config JSON, named float32 tensors, and a trailing 64-bit FNV-1a checksum
@@ -24,17 +32,16 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .binattn import (
     AttentionLayerState,
-    attention_forward,
-    attention_forward_packed,
-    binary_linear,
-    binary_linear_packed,
+    FullPrecisionOps,
+    PackedOps,
+    SimOps,
     make_attention_layer,
 )
 from .numerics import (
@@ -42,19 +49,11 @@ from .numerics import (
     DenseMatrix,
     Tape,
     add,
-    add_bias,
-    concat_cols,
     gather_rows,
     gelu,
     layer_norm,
-    matmul,
-    scale,
-    slice_cols,
-    softmax_rows,
-    add_constant,
-    transpose,
 )
-from .quant import ElasticQuant, QuantMode, binarize_weight
+from .quant import ElasticQuant, QuantMode
 from .rng import substream
 
 __all__ = [
@@ -68,6 +67,7 @@ __all__ = [
     "ModelConfig",
     "PackedResult",
     "build_model",
+    "encode",
     "forward",
     "forward_packed",
     "load_checkpoint",
@@ -76,8 +76,6 @@ __all__ = [
     "parameter_inventory",
     "save_checkpoint",
 ]
-
-PAD_SCORE_BIAS = -1e9
 
 VARIANTS = ("baseline", "bipft_a", "bipft_b")
 
@@ -195,7 +193,8 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
 
     Binarizer levels start at one (attention maps at 3/max_seq), thresholds
     at zero; estimator factors are spectrally initialized from the drawn
-    attention weights when the variant calls for them.
+    attention weights when the variant calls for them.  The full-precision
+    twin gets none: it never runs them.
     """
     config.validate()
     rng = substream(seed, "init")
@@ -218,7 +217,7 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
         ln_beta=zeros((1, C), "emb.ln.beta"),
     )
 
-    rank = config.rank if config.variant == "bipft_b" else 0
+    rank = config.rank if config.variant == "bipft_b" and not config.full_precision else 0
     blocks = []
     for i in range(config.layers):
         pre = f"layer{i}"
@@ -390,6 +389,7 @@ class PackedResult:
 
 
 def _check_sequence(cfg: ModelConfig, token_ids, segment_ids, pad_mask):
+    """Validated ids and segments, and the key mask (None when nothing is padded)."""
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size < 1:
         raise ValueError("token ids must be a non-empty 1-D array")
@@ -401,42 +401,54 @@ def _check_sequence(cfg: ModelConfig, token_ids, segment_ids, pad_mask):
     segs = np.zeros(n, dtype=np.int64) if segment_ids is None else np.asarray(segment_ids, dtype=np.int64)
     if segs.shape != (n,) or segs.min() < 0 or segs.max() > 1:
         raise ValueError("segment ids must be 0/1 and match the sequence length")
-    pad_bias = None
-    if pad_mask is not None:
-        real = np.asarray(pad_mask, dtype=bool)
-        if real.shape != (n,):
-            raise ValueError("pad mask must match the sequence length")
-        if not real.all():
-            pad_bias = np.zeros((n, n))
-            pad_bias[:, ~real] = PAD_SCORE_BIAS
-    return ids, segs, pad_bias
+    if pad_mask is None:
+        return ids, segs, None
+    real = np.asarray(pad_mask, dtype=bool)
+    if real.shape != (n,):
+        raise ValueError("pad mask must match the sequence length")
+    return ids, segs, None if real.all() else real
 
 
-def _linear(tape, x, w, b):
-    return add_bias(tape, matmul(tape, x, transpose(tape, w)), b)
+def _encode(model: Model, ops: SimOps, token_ids, segment_ids, pad_mask) -> list[DenseMatrix]:
+    """The encoder, once: embeddings then every block, in the op set ``ops``."""
+    ids, segs, key_mask = _check_sequence(model.config, token_ids, segment_ids, pad_mask)
+    tape = ops.tape
+    tok = ops.embed(gather_rows(tape, model.emb.tok, ids))
+    pos = ops.embed(gather_rows(tape, model.emb.pos, np.arange(ids.size)))
+    seg = ops.embed(gather_rows(tape, model.emb.seg, segs))
+    x = layer_norm(tape, add(tape, add(tape, tok, pos), seg), model.emb.ln_gamma, model.emb.ln_beta)
+
+    hidden = [x]
+    for blk in model.blocks:
+        attn_out = ops.attention(x, blk.attn, key_mask)
+        x = layer_norm(tape, add(tape, x, attn_out), blk.ln_attn_gamma, blk.ln_attn_beta)
+        ffn = blk.ffn
+        h = gelu(tape, ops.linear(x, ffn.w1, ffn.b1, ffn.in_1))
+        f = ops.linear(h, ffn.w2, ffn.b2, ffn.in_2)
+        x = layer_norm(tape, add(tape, x, f), blk.ln_ffn_gamma, blk.ln_ffn_beta)
+        hidden.append(x)
+    return hidden
 
 
-def _fp_attention(tape, x, layer: AttentionLayerState, pad_bias):
-    import math
+def _heads(tape: Tape | None, model: Model, x: DenseMatrix) -> tuple[DenseMatrix, DenseMatrix]:
+    """Full-precision task heads: per-token vocabulary logits, pair order from row 0."""
+    affine = FullPrecisionOps(tape).linear
+    mlm = affine(x, model.head.mlm_w, model.head.mlm_b)
+    nsp = affine(gather_rows(tape, x, np.array([0])), model.head.nsp_w, model.head.nsp_b)
+    return mlm, nsp
 
-    dk = layer.head_width
-    inv = 1.0 / math.sqrt(dk)
-    q = _linear(tape, x, layer.wq, layer.bq)
-    k = _linear(tape, x, layer.wk, layer.bk)
-    v = _linear(tape, x, layer.wv, layer.bv)
-    parts = []
-    for h in range(layer.heads):
-        lo, hi = h * dk, (h + 1) * dk
-        scores = scale(
-            tape,
-            matmul(tape, slice_cols(tape, q, lo, hi), transpose(tape, slice_cols(tape, k, lo, hi))),
-            inv,
-        )
-        if pad_bias is not None:
-            scores = add_constant(tape, scores, pad_bias)
-        att = softmax_rows(tape, scores)
-        parts.append(matmul(tape, att, slice_cols(tape, v, lo, hi)))
-    return _linear(tape, concat_cols(tape, parts), layer.wo, layer.bo)
+
+def encode(
+    model: Model,
+    token_ids,
+    segment_ids=None,
+    pad_mask=None,
+    tape: Tape | None = None,
+    mode: QuantMode = "hard",
+) -> list[DenseMatrix]:
+    """Per-depth hidden states of :func:`forward`, without computing the heads."""
+    ops = FullPrecisionOps(tape) if model.config.full_precision else SimOps(tape, mode)
+    return _encode(model, ops, token_ids, segment_ids, pad_mask)
 
 
 def forward(
@@ -449,83 +461,28 @@ def forward(
 ) -> ForwardResult:
     """Float-simulated forward over one sequence (rows = positions).
 
-    ``pad_mask`` marks real positions with True; padded key columns get a
-    large negative score bias and the padded rows' outputs are meaningless
+    ``pad_mask`` marks real positions with True; padded keys are masked out
+    of every attention map and the padded rows' outputs are meaningless
     (losses must ignore them).  ``mode="relaxed"`` replaces the hard
     binarizer forwards with their clip surrogates for finite differencing.
     """
-    cfg = model.config
-    ids, segs, pad_bias = _check_sequence(cfg, token_ids, segment_ids, pad_mask)
-    n = ids.size
-
-    tok = gather_rows(tape, model.emb.tok, ids)
-    pos = gather_rows(tape, model.emb.pos, np.arange(n))
-    seg = gather_rows(tape, model.emb.seg, segs)
-    if not cfg.full_precision:
-        tok = binarize_weight(tape, tok, mode)
-        pos = binarize_weight(tape, pos, mode)
-        seg = binarize_weight(tape, seg, mode)
-    x = layer_norm(tape, add(tape, add(tape, tok, pos), seg), model.emb.ln_gamma, model.emb.ln_beta)
-
-    hidden = [x]
-    for blk in model.blocks:
-        if cfg.full_precision:
-            attn_out = _fp_attention(tape, x, blk.attn, pad_bias)
-        else:
-            attn_out = attention_forward(tape, x, blk.attn, mode, pad_bias)
-        x = layer_norm(tape, add(tape, x, attn_out), blk.ln_attn_gamma, blk.ln_attn_beta)
-        if cfg.full_precision:
-            h = gelu(tape, _linear(tape, x, blk.ffn.w1, blk.ffn.b1))
-            f = _linear(tape, h, blk.ffn.w2, blk.ffn.b2)
-        else:
-            h = gelu(tape, binary_linear(tape, x, blk.ffn.w1, blk.ffn.b1, blk.ffn.in_1, mode))
-            f = binary_linear(tape, h, blk.ffn.w2, blk.ffn.b2, blk.ffn.in_2, mode)
-        x = layer_norm(tape, add(tape, x, f), blk.ln_ffn_gamma, blk.ln_ffn_beta)
-        hidden.append(x)
-
-    mlm = _linear(tape, x, model.head.mlm_w, model.head.mlm_b)
-    cls = gather_rows(tape, x, np.array([0]))
-    nsp = _linear(tape, cls, model.head.nsp_w, model.head.nsp_b)
+    hidden = encode(model, token_ids, segment_ids, pad_mask, tape, mode)
+    mlm, nsp = _heads(tape, model, hidden[-1])
     return ForwardResult(hidden_states=hidden, mlm_logits=mlm, nsp_logits=nsp)
 
 
 def forward_packed(model: Model, token_ids, segment_ids=None, pad_mask=None) -> PackedResult:
     """Packed-kernel forward: binary products run on bit-packed words.
 
-    Elementwise stages (embedding reconstruction, norms, GeLU, softmax) reuse
-    the exact float routines of the simulation path, so the two routes agree
-    to float accuracy on logits for generic binarizer parameters.
+    Everything but those products runs the float ops of :func:`forward`, so
+    the two routes agree to float accuracy on logits for generic binarizer
+    parameters.
     """
-    cfg = model.config
-    if cfg.full_precision:
+    if model.config.full_precision:
         raise ValueError("packed evaluation applies to binary models only")
-    ids, segs, pad_bias = _check_sequence(cfg, token_ids, segment_ids, pad_mask)
-    n = ids.size
-
-    def binarize_np(rows: Array) -> Array:
-        return binarize_weight(None, DenseMatrix(rows)).data
-
-    def ln_np(x: Array, gamma: DenseMatrix, beta: DenseMatrix) -> Array:
-        return layer_norm(None, DenseMatrix(x), gamma, beta).data
-
-    tok = binarize_np(model.emb.tok.data[ids])
-    pos = binarize_np(model.emb.pos.data[:n])
-    seg = binarize_np(model.emb.seg.data[segs])
-    x = ln_np((tok + pos) + seg, model.emb.ln_gamma, model.emb.ln_beta)
-
-    hidden = [x]
-    for blk in model.blocks:
-        attn_out = attention_forward_packed(x, blk.attn, pad_bias)
-        x = ln_np(x + attn_out, blk.ln_attn_gamma, blk.ln_attn_beta)
-        h = gelu(None, DenseMatrix(binary_linear_packed(x, blk.ffn.w1, blk.ffn.b1, blk.ffn.in_1))).data
-        f = binary_linear_packed(h, blk.ffn.w2, blk.ffn.b2, blk.ffn.in_2)
-        x = ln_np(x + f, blk.ln_ffn_gamma, blk.ln_ffn_beta)
-        hidden.append(x)
-
-    mlm = x @ np.ascontiguousarray(model.head.mlm_w.data.T) + model.head.mlm_b.data
-    cls = x[np.array([0])]
-    nsp = cls @ np.ascontiguousarray(model.head.nsp_w.data.T) + model.head.nsp_b.data
-    return PackedResult(hidden_states=hidden, mlm_logits=mlm, nsp_logits=nsp)
+    hidden = _encode(model, PackedOps(), token_ids, segment_ids, pad_mask)
+    mlm, nsp = _heads(None, model, hidden[-1])
+    return PackedResult(hidden_states=[h.data for h in hidden], mlm_logits=mlm.data, nsp_logits=nsp.data)
 
 
 # ---------------------------------------------------------------------------

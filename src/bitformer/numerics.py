@@ -262,16 +262,10 @@ def concat_cols(tape: Tape | None, parts: Sequence[DenseMatrix]) -> DenseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _softmax_rows_np(x: Array) -> Array:
-    """Shared forward core so the tape path and the packed eval path agree bitwise."""
-    z = x - x.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_rows(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     """Row-wise softmax with max subtraction; each output row sums to 1."""
-    p = _softmax_rows_np(a.data)
+    e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
     out = DenseMatrix(p)
     if tape is not None:
 

@@ -28,7 +28,7 @@ from .data import (
     make_nsp_pairs,
     mask_tokens,
 )
-from .model import Model, forward, named_parameters
+from .model import Model, encode, forward, named_parameters
 from .numerics import (
     AdamW,
     DenseMatrix,
@@ -373,8 +373,8 @@ def _check_labels(examples: Sequence[Example], n_classes: int) -> None:
 
 
 def _classifier_logits(tape, model, tokens, segs, w, b):
-    res = forward(model, np.asarray(tokens), np.asarray(segs), tape=tape, mode="hard")
-    cls = gather_rows(tape, res.hidden_states[-1], np.array([0]))
+    last = encode(model, np.asarray(tokens), np.asarray(segs), tape=tape, mode="hard")[-1]
+    cls = gather_rows(tape, last, np.array([0]))
     logits = matmul(tape, cls, transpose(tape, w))
     return add(tape, logits, b)
 
@@ -391,16 +391,12 @@ def finetune(
     batch_size: int = 32,
     seed: int = 0,
     freeze_body: bool = False,
-    head_warmup_epochs: int = 0,
 ) -> FinetuneResult:
     """Train a fresh full-precision head on the classifier row; report accuracy.
 
     Constant learning rate, no schedule, no distillation.  ``freeze_body``
     restricts updates to the head (a linear probe); otherwise gradients also
-    flow into the body's latent parameters.  ``head_warmup_epochs`` holds the
-    body frozen for the first N epochs so the fresh head first aligns itself
-    with whatever features the body already provides, and only then lets the
-    body move — the usual probe-then-finetune schedule.
+    flow into the body's latent parameters.
     """
     _check_labels(train_examples, n_classes)
     _check_labels(eval_examples, n_classes)
@@ -409,15 +405,11 @@ def finetune(
     head_w = DenseMatrix(0.02 * rng.normal(size=(n_classes, hidden)))
     head_b = DenseMatrix(np.zeros((1, n_classes)))
 
-    head_params = [head_w, head_b]
     body_params = [] if freeze_body else [p for _, p in named_parameters(model)]
-    opt = AdamW(head_params, lr=lr, weight_decay=weight_decay)
+    opt = AdamW([head_w, head_b] + body_params, lr=lr, weight_decay=weight_decay)
     order_rng = substream(seed, "finetune-order")
 
-    for epoch in range(epochs):
-        body_live = body_params and epoch >= head_warmup_epochs
-        if body_live and epoch == head_warmup_epochs:
-            opt = AdamW(head_params + body_params, lr=lr, weight_decay=weight_decay)
+    for _ in range(epochs):
         order = order_rng.permutation(len(train_examples))
         for start in range(0, len(order), batch_size):
             chunk = order[start : start + batch_size]
@@ -429,7 +421,7 @@ def finetune(
                 loss = cross_entropy(tape, logits, np.array([label]))
                 tape.backward(scale(tape, loss, 1.0 / len(chunk)))
             opt.step()
-            if body_live:
+            if not freeze_body:
                 project_binarizer_levels(model)
 
     correct = 0

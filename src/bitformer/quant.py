@@ -176,6 +176,7 @@ def binarize_attention_01(
     att: DenseMatrix,
     q: ElasticQuant,
     mode: QuantMode = "hard",
+    key_mask: Array | None = None,
 ) -> DenseMatrix:
     """Two-level attention maps in {0, alpha}.
 
@@ -184,7 +185,10 @@ def binarize_attention_01(
     Backward takes the analytic partials of the surrogate
     ``alpha * clip(u, 0, 1)``: passthrough inside 0 < u < 1 for the input,
     its negation for the threshold, and the saturation indicator u >= 1 for
-    the level.
+    the level.  Columns where ``key_mask`` (one flag per key) is False are
+    held at u = 0, the unselected edge where the surrogate is flat, so a
+    padded key is never selected and passes no gradient, whatever the
+    threshold.
     """
     _check_mode(mode)
     alpha = float(q.alpha.data[0, 0])
@@ -192,6 +196,8 @@ def binarize_attention_01(
         raise QuantError(f"attention binarizer level must be positive, got {alpha}")
     beta = float(q.beta.data[0, 0])
     u = (att.data - beta) / alpha
+    if key_mask is not None:
+        u = np.where(key_mask, u, 0.0)
     if mode == "hard":
         out = DenseMatrix(alpha * (u >= 0.5).astype(np.float64))
     else:
@@ -210,15 +216,6 @@ def binarize_attention_01(
 
         tape.record("binarize_attention_01", bwd)
     return out
-
-
-def attention_selection_bits(att: Array, q: ElasticQuant) -> Array:
-    """The {0,1} pattern the hard forward selects (for packed evaluation)."""
-    alpha = float(q.alpha.data[0, 0])
-    if alpha <= 0.0:
-        raise QuantError(f"attention binarizer level must be positive, got {alpha}")
-    beta = float(q.beta.data[0, 0])
-    return ((att - beta) / alpha >= 0.5).astype(np.float64)
 
 
 def residual(tape: Tape | None, full: DenseMatrix, binarized: DenseMatrix) -> DenseMatrix:

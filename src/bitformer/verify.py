@@ -37,6 +37,7 @@ from .numerics import (
     softmax_rows,
     transpose,
 )
+from .pretrain import model_binarizers
 from .quant import (
     ElasticQuant,
     binarize_activation_pm1,
@@ -374,10 +375,9 @@ def _jitter_binarizers(model, rng: np.random.Generator) -> None:
     route and float pairwise summation may legitimately resolve differently;
     generic parameters take the comparison off the knife edge.
     """
-    for blk in model.blocks:
-        for q in blk.attn.binarizers() + [blk.ffn.in_1, blk.ffn.in_2]:
-            q.alpha.data[0, 0] *= float(rng.uniform(0.8, 1.25))
-            q.beta.data[0, 0] += float(rng.normal(0.0, 0.05))
+    for q in model_binarizers(model):
+        q.alpha.data[0, 0] *= float(rng.uniform(0.8, 1.25))
+        q.beta.data[0, 0] += float(rng.normal(0.0, 0.05))
 
 
 def check_train_eval_agreement(seed: int = 0, instances: int = 20) -> CheckResult:

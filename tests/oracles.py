@@ -95,3 +95,59 @@ def relative_error(got: np.ndarray, want: np.ndarray, floor: float = 1e-8) -> fl
     want = np.asarray(want, dtype=np.float64)
     denom = np.maximum(np.abs(want), floor)
     return float(np.max(np.abs(got - want) / denom))
+
+
+def full_precision_encoder(
+    params: dict[str, np.ndarray],
+    layers: int,
+    heads: int,
+    token_ids: Sequence[int],
+    segment_ids: Sequence[int],
+    real: Sequence[bool] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Textbook post-norm BERT encoder, one head and one query at a time.
+
+    ``params`` maps the model's parameter names to arrays.  Attention runs
+    over the keys flagged in ``real`` (all keys when None).  Returns the
+    token-prediction logits of every position and the pair-order logits of
+    position 0.
+    """
+
+    def layer_norm(x, gamma, beta, eps=1e-5):
+        out = np.empty_like(x)
+        for i, row in enumerate(x):
+            mu = row.mean()
+            var = ((row - mu) ** 2).mean()
+            out[i] = (row - mu) / math.sqrt(var + eps) * gamma[0] + beta[0]
+        return out
+
+    def affine(x, w, b):
+        return naive_matmul(x, w.T) + b
+
+    n = len(token_ids)
+    keys = [j for j in range(n) if real is None or real[j]]
+    x = np.array(
+        [
+            params["emb.tok"][t] + params["emb.pos"][i] + params["emb.seg"][s]
+            for i, (t, s) in enumerate(zip(token_ids, segment_ids))
+        ]
+    )
+    x = layer_norm(x, params["emb.ln.gamma"], params["emb.ln.beta"])
+    for layer in range(layers):
+        pre = f"layer{layer}."
+        p = {name[len(pre) :]: v for name, v in params.items() if name.startswith(pre)}
+        q, k, v = (affine(x, p[f"attn.w{c}"], p[f"attn.b{c}"]) for c in "qkv")
+        width = q.shape[1] // heads
+        ctx = np.zeros_like(q)
+        for h in range(heads):
+            cols = slice(h * width, (h + 1) * width)
+            for i in range(n):
+                scores = np.array([float(q[i, cols] @ k[j, cols]) / math.sqrt(width) for j in keys])
+                for weight, j in zip(softmax_row(scores), keys):
+                    ctx[i, cols] += weight * v[j, cols]
+        x = layer_norm(x + affine(ctx, p["attn.wo"], p["attn.bo"]), p["ln_attn.gamma"], p["ln_attn.beta"])
+        hid = np.vectorize(gelu_scalar)(affine(x, p["ffn.w1"], p["ffn.b1"]))
+        x = layer_norm(x + affine(hid, p["ffn.w2"], p["ffn.b2"]), p["ln_ffn.gamma"], p["ln_ffn.beta"])
+    mlm = affine(x, params["head.mlm.w"], params["head.mlm.b"])
+    nsp = affine(x[:1], params["head.nsp.w"], params["head.nsp.b"])
+    return mlm, nsp

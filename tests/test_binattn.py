@@ -191,11 +191,10 @@ def test_padding_bias_blocks_attention_to_padded_keys():
     layer = small_layer(seed=4)
     n = 6
     a = RNG.normal(size=(n, 8))
-    pad_bias = np.zeros((n, n))
-    pad_bias[:, -2:] = -1e9  # last two positions are padding
+    key_mask = np.arange(n) < n - 2  # last two positions are padding
 
     trace: dict = {}
-    attention_forward(None, DenseMatrix(a), layer, pad_bias=pad_bias, trace=trace)
+    attention_forward(None, DenseMatrix(a), layer, key_mask=key_mask, trace=trace)
     for att in trace["att"]:
         assert np.max(att[:, -2:]) < 1e-12
     for sel in trace["att_selected"]:
@@ -266,9 +265,8 @@ def test_packed_attention_matches_float_simulation():
             for f in layer.estimators.parameters():
                 f.data[...] = rng.normal(size=f.data.shape) * 0.2
         a = np.random.default_rng(seed + 200).normal(size=(7, 8))
-        pad_bias = np.zeros((7, 7))
-        pad_bias[:, -1] = -1e9
+        key_mask = np.arange(7) < 6
 
-        sim = attention_forward(None, DenseMatrix(a), layer, pad_bias=pad_bias)
-        packed = attention_forward_packed(a, layer, pad_bias=pad_bias)
+        sim = attention_forward(None, DenseMatrix(a), layer, key_mask=key_mask)
+        packed = attention_forward_packed(a, layer, key_mask=key_mask)
         assert np.max(np.abs(sim.data - packed)) < 1e-8

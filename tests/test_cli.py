@@ -5,6 +5,10 @@ covered by the library tests and the acceptance suite.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +327,34 @@ def test_thread_cap_env_rejects_garbage(monkeypatch, capsys):
     monkeypatch.setenv("BITFORMER_THREADS", "lots")
     assert main(["verify", "--only", "ternary"]) == EXIT_USAGE
     assert "BITFORMER_THREADS" in capsys.readouterr().err
+
+
+# OpenBLAS's own thread count, read after importing the CLI first; prints
+# "none" when numpy bundles no OpenBLAS
+_OPENBLAS_THREADS_AFTER_CLI = """
+import bitformer.cli
+import ctypes, glob, os
+import numpy as np
+for path in glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            print(int(fn()))
+            raise SystemExit
+print("none")
+"""
+
+
+def test_thread_cap_env_reaches_openblas():
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["BITFORMER_THREADS"] = "1"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env["PYTHONPATH"]]) if env.get("PYTHONPATH") else src
+    out = subprocess.run(
+        [sys.executable, "-c", _OPENBLAS_THREADS_AFTER_CLI],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.strip()
+    if out == "none":
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be read")
+    assert out == "1"

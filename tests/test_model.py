@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitformer.bitkernel import equivalent_flops
 from bitformer.model import (
@@ -33,6 +35,8 @@ from bitformer.model import (
     save_checkpoint,
 )
 from bitformer.numerics import Tape, cross_entropy, add
+
+from oracles import full_precision_encoder
 
 TINY = dict(layers=2, hidden=8, heads=2, ffn=16, max_seq=12, vocab=11)
 
@@ -161,6 +165,23 @@ def test_pad_mask_shields_real_positions_from_pad_content():
     assert np.array_equal(r1.nsp_logits.data, r2.nsp_logits.data)
 
 
+@pytest.mark.parametrize("variant,rank", [("bipft_a", 0), ("bipft_b", 2)])
+def test_full_precision_forward_matches_textbook_oracle(variant, rank):
+    model = build_model(tiny_config(variant=variant, rank=rank, full_precision=True), seed=6)
+    rng = np.random.default_rng(8)
+    for _, p in named_parameters(model):  # move biases and norms off their trivial init
+        p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)
+    params = {name: p.data for name, p in named_parameters(model)}
+    tokens = np.array([2, 5, 6, 7, 8, 9, 3, 0, 0])
+    segs = np.array([0, 0, 0, 0, 1, 1, 1, 0, 0])
+    for real in (None, tokens != 0):
+        res = forward(model, tokens, segs, pad_mask=real)
+        mlm, nsp = full_precision_encoder(params, model.config.layers, model.config.heads, tokens, segs, real)
+        keep = slice(None) if real is None else real
+        assert np.max(np.abs(res.mlm_logits.data[keep] - mlm[keep])) < 1e-10
+        assert np.max(np.abs(res.nsp_logits.data - nsp)) < 1e-10
+
+
 # --------------------------------------------------------------------------
 # packed-evaluation parity
 # --------------------------------------------------------------------------
@@ -191,6 +212,46 @@ def test_packed_forward_matches_float_simulation(variant, rank):
     assert np.max(np.abs(sim.mlm_logits.data - packed.mlm_logits)) < 1e-8
     assert np.max(np.abs(sim.nsp_logits.data - packed.nsp_logits)) < 1e-8
     assert len(packed.hidden_states) == cfg.layers + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    beta=st.floats(-0.5, -1e-3),
+    n_real=st.integers(1, 15),
+    seed=st.integers(0, 2**16),
+    variant=st.sampled_from([("bipft_a", 0), ("bipft_b", 2)]),
+)
+@example(beta=-0.2, n_real=10, seed=0, variant=("bipft_a", 0))
+def test_padded_keys_never_reach_real_rows_at_negative_attention_thresholds(beta, n_real, seed, variant):
+    # a padded key has soft mass 0, which a threshold below -level/2 would
+    # select; the key mask must gate it out of the selection in both routes
+    cfg = ModelConfig(
+        layers=1, hidden=32, heads=2, ffn=64, max_seq=16, vocab=20, variant=variant[0], rank=variant[1]
+    ).validate()
+    model = build_model(cfg, seed=seed)
+    jitter_model_binarizers(model, np.random.default_rng(seed))
+    for q in model.blocks[0].attn.head_att:
+        q.beta.data[0, 0] = beta
+    rng = np.random.default_rng(seed + 1)
+    real = rng.integers(5, cfg.vocab, size=n_real)
+    real[0] = 2
+    pad_mask = np.arange(cfg.max_seq) < n_real
+    pad_a = np.concatenate([real, np.zeros(cfg.max_seq - n_real, dtype=np.int64)])
+    pad_b = np.concatenate([real, rng.integers(5, cfg.vocab, size=cfg.max_seq - n_real)])
+    segs = (np.arange(cfg.max_seq) >= n_real // 2).astype(np.int64)
+
+    for mode in ("hard", "relaxed"):
+        sim_a = forward(model, pad_a, segs, pad_mask=pad_mask, mode=mode)
+        sim_b = forward(model, pad_b, segs, pad_mask=pad_mask, mode=mode)
+        for h_a, h_b in zip(sim_a.hidden_states, sim_b.hidden_states):
+            assert np.array_equal(h_a.data[:n_real], h_b.data[:n_real])
+    packed_a = forward_packed(model, pad_a, segs, pad_mask=pad_mask)
+    packed_b = forward_packed(model, pad_b, segs, pad_mask=pad_mask)
+    for h_a, h_b in zip(packed_a.hidden_states, packed_b.hidden_states):
+        assert np.array_equal(h_a[:n_real], h_b[:n_real])
+    sim = forward(model, pad_a, segs, pad_mask=pad_mask)
+    assert np.max(np.abs(sim.mlm_logits.data - packed_a.mlm_logits)) < 1e-8
+    assert np.max(np.abs(sim.nsp_logits.data - packed_a.nsp_logits)) < 1e-8
 
 
 # --------------------------------------------------------------------------

@@ -310,6 +310,32 @@ def test_att01_fd_all_three_against_surrogate():
     assert relative_error(q.beta.grad, want_be, floor=1e-6) < FD_TOL
 
 
+def test_att01_key_mask_gates_selection_and_gradient_at_any_threshold():
+    # beta below -alpha/2 selects a key of zero mass; a masked key stays
+    # unselected and takes no gradient in either mode, unmasked keys as before
+    att = np.array([[0.0, 0.1, 0.0, 0.4], [0.2, 0.0, 0.0, 0.7]])  # u = (att + 0.3) / 0.5
+    key_mask = np.array([True, True, False, True])
+    g = np.arange(1.0, 9.0).reshape(2, 4)
+    for mode in ("hard", "relaxed"):
+        runs = []
+        for mask in (None, key_mask):
+            am, q = DenseMatrix(att), ElasticQuant.create(alpha=0.5, beta=-0.3)
+            tape = Tape()
+            out = binarize_attention_01(tape, am, q, mode, mask)
+            out.ensure_grad()[...] = g
+            for _, fn in reversed(tape.ops):
+                fn()
+            runs.append((out.data, am.grad, q))
+        (plain, plain_grad, _), (masked, masked_grad, q) = runs
+        assert np.all(plain[:, 2] > 0.0)
+        assert np.array_equal(masked[:, 2], [0.0, 0.0])
+        assert np.array_equal(masked_grad[:, 2], [0.0, 0.0])
+        assert np.array_equal(masked[:, key_mask], plain[:, key_mask])
+        assert np.array_equal(masked_grad[:, key_mask], plain_grad[:, key_mask])
+        assert q.beta.grad[0, 0] == -(1.0 + 2.0 + 6.0)  # inside 0 < u < 1, unmasked only
+        assert q.alpha.grad[0, 0] == 4.0 + 5.0 + 8.0  # saturated u >= 1
+
+
 # --------------------------------------------------------------------------
 # residual decomposition
 # --------------------------------------------------------------------------
