@@ -117,8 +117,6 @@ class ResidualEstimators:
     w_k_star: DenseMatrix
     u_v_star: DenseMatrix
     v_v_star: DenseMatrix
-    use_kq: bool = True
-    use_attv: bool = True
 
     @property
     def rank(self) -> int:
@@ -443,7 +441,7 @@ class FullPrecisionOps(SimOps):
 def _score_blocks(layer: AttentionLayerState) -> list[tuple[int, int] | None]:
     """Each head's score-estimator column block, None where it gets no correction."""
     est = layer.estimators
-    if est is None or not est.use_kq:
+    if est is None:
         return [None] * layer.heads
     return [(lo, hi) if lo < hi else None for lo, hi in head_rank_blocks(est.rank, layer.heads)]
 
@@ -472,11 +470,9 @@ def attend(
     v = ops.linear(a, layer.wv, layer.bv, layer.in_v)
 
     kq_blocks = _score_blocks(layer)
-    if est is not None and est.use_attv:
+    if est is not None:
         au = matmul(tape, a, est.u_v_star)
         vt_star = transpose(tape, est.v_v_star)
-    else:
-        au = vt_star = None
     pad_bias = None if key_mask is None else np.where(key_mask, 0.0, PAD_SCORE_BIAS)
 
     if trace is not None:
@@ -496,7 +492,7 @@ def attend(
         att = softmax_rows(tape, scores)
         sel = ops.select(att, layer.head_att[h], key_mask)
         ctx = ops.mix(sel, slice_cols(tape, v, lo, hi), layer.head_v[h], layer.head_att[h])
-        if au is not None:
+        if est is not None:
             ctx = add(tape, ctx, matmul(tape, matmul(tape, sel, au), slice_cols(tape, vt_star, lo, hi)))
         ctx_parts.append(ctx)
 

@@ -9,10 +9,10 @@ kept at zero and removed by the logical-length mask, so only the ``n``
 declared columns ever contribute.
 
 A {0,1}-by-{-1,+1} product (binarized attention map times binarized values)
-reuses the same machinery: reading the selection bits as ±1 gives
-``sel_pm = 2*sel - 1``, hence ``sel . v = (sel_pm . v + ones . v) >> 1``.
-Both addends have the parity of ``n``, so the sum is even and the arithmetic
-shift is exact, at the price of one extra popcount per value row.
+runs the same ±1 accumulator loop: reading the selection bits as ±1 gives
+``sel_pm = 2*sel - 1``, hence ``sel . v = (sel_pm . v + ones . v) >> 1``,
+where ``ones . v`` costs one popcount per value row.  Both addends have the
+parity of ``n``, so the sum is even and the arithmetic shift is exact.
 
 Accumulators are exact int64 counts; a scale (scalar or per-output-column
 vector) is applied in a single rounding when reading out to float.
@@ -84,24 +84,10 @@ def unpack_signs(p: PackedBitMatrix) -> Array:
     return bits.astype(np.float64) * 2.0 - 1.0
 
 
-def xnor_popcount_dot(a_words: Array, b_words: Array, n_logical: int) -> int:
-    """±1 dot product of two packed rows over their first ``n_logical`` bits."""
-    if a_words.shape != b_words.shape:
-        raise ValueError("packed rows differ in word count")
-    mask = _length_mask(n_logical, a_words.shape[-1])
-    agree = np.bitwise_count((~(a_words ^ b_words)) & mask)
-    matches = int(agree.sum())
-    return 2 * matches - n_logical
-
-
-def _check_same_width(a: PackedBitMatrix, b_t: PackedBitMatrix) -> None:
+def _pm1_dots(a: PackedBitMatrix, b_t: PackedBitMatrix) -> Array:
+    """The one ±1 accumulator loop, tiled over rows of ``a`` to bound the XNOR buffer."""
     if a.cols != b_t.cols:
         raise ValueError(f"width mismatch: {a.cols} vs {b_t.cols} logical columns")
-
-
-def binary_accumulate(a: PackedBitMatrix, b_t: PackedBitMatrix) -> Array:
-    """Exact int64 ±1 products: out[i, j] = row_i(a) . row_j(b_t)."""
-    _check_same_width(a, b_t)
     mask = _length_mask(a.cols, a.words_per_row)
     bw = b_t.words & mask
     out = np.empty((a.rows, b_t.rows), dtype=np.int64)
@@ -112,6 +98,11 @@ def binary_accumulate(a: PackedBitMatrix, b_t: PackedBitMatrix) -> Array:
         matches = np.bitwise_count(xnor & mask).sum(axis=2, dtype=np.int64)
         out[lo:hi] = 2 * matches - a.cols
     return out
+
+
+def binary_accumulate(a: PackedBitMatrix, b_t: PackedBitMatrix) -> Array:
+    """Exact int64 ±1 products: out[i, j] = row_i(a) . row_j(b_t)."""
+    return _pm1_dots(a, b_t)
 
 
 def binary_gemm(a: PackedBitMatrix, b_t: PackedBitMatrix, scale: float | Array) -> DenseMatrix:
@@ -130,19 +121,10 @@ def ternary_accumulate(sel: PackedBitMatrix, v_t: PackedBitMatrix) -> Array:
     bits as ±1 and adding the all-ones product halves back to the selection
     semantics with one arithmetic shift.
     """
-    _check_same_width(sel, v_t)
+    pm_dot = _pm1_dots(sel, v_t)
     mask = _length_mask(sel.cols, sel.words_per_row)
-    vw = v_t.words & mask
-    ones_dot = 2 * np.bitwise_count(vw).sum(axis=1, dtype=np.int64) - sel.cols
-    out = np.empty((sel.rows, v_t.rows), dtype=np.int64)
-    block = max(1, _GEMM_BLOCK_WORDS // max(1, v_t.rows * sel.words_per_row))
-    for lo in range(0, sel.rows, block):
-        hi = min(sel.rows, lo + block)
-        xnor = ~(sel.words[lo:hi, None, :] ^ vw[None, :, :])
-        matches = np.bitwise_count(xnor & mask).sum(axis=2, dtype=np.int64)
-        pm_dot = 2 * matches - sel.cols
-        out[lo:hi] = (pm_dot + ones_dot[None, :]) >> 1
-    return out
+    ones_dot = 2 * np.bitwise_count(v_t.words & mask).sum(axis=1, dtype=np.int64) - sel.cols
+    return (pm_dot + ones_dot[None, :]) >> 1
 
 
 def ternary_binary_gemm(sel: PackedBitMatrix, v_t: PackedBitMatrix, scale: float | Array) -> DenseMatrix:

@@ -402,7 +402,7 @@ def _add_model_flags(p: argparse.ArgumentParser, variant_default: str | None = "
     p.add_argument(
         "--variant",
         type=_dashify,
-        choices=["baseline", "bipft-a", "bipft-b"],
+        choices=["bipft-a", "bipft-b"],
         default=variant_default,
     )
     p.add_argument("--rank", type=int, default=None)

@@ -22,17 +22,24 @@ projections and the attention products:
   :func:`forward` to float accuracy.
 * :func:`encode` — the hidden states of :func:`forward` without the heads.
 
+Every trainable tensor is named once, where ``build_model`` creates it;
+:func:`named_parameters` walks the state dataclasses in field order and
+returns those names, and that one list is what the optimizer trains and what
+checkpoints save and load.
+
 Checkpoints are a single little-endian binary container: magic, version,
 config JSON, named float32 tensors, and a trailing 64-bit FNV-1a checksum
-over everything before it.  Loads verify magic, version, and checksum before
-parsing, and loading into a model checks the tensor inventory both ways.
+over everything before it.  Writes are atomic (temporary file, then rename).
+Loads verify magic, version, and checksum before parsing, and loading into a
+model checks the tensor inventory both ways.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,12 +79,13 @@ __all__ = [
     "forward_packed",
     "load_checkpoint",
     "load_model",
+    "model_binarizers",
     "named_parameters",
     "parameter_inventory",
     "save_checkpoint",
 ]
 
-VARIANTS = ("baseline", "bipft_a", "bipft_b")
+VARIANTS = ("bipft_a", "bipft_b")
 
 
 class ConfigError(ValueError):
@@ -257,78 +265,42 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _quant_pairs(prefix: str, q: ElasticQuant) -> list[tuple[str, DenseMatrix]]:
-    return [(f"{prefix}.alpha", q.alpha), (f"{prefix}.beta", q.beta)]
+def _state_nodes(node, binary: bool, out: list) -> list[DenseMatrix | ElasticQuant]:
+    """Append every tensor and binarizer under ``node`` to ``out``, in dataclass field order.
+
+    A binarizer comes before its level and threshold.  The full-precision
+    twin builds binarizers but never runs them, so with ``binary`` False
+    they are skipped here, the one place that decides it.
+    """
+    if isinstance(node, DenseMatrix):
+        out.append(node)
+    elif isinstance(node, list):
+        for item in node:
+            _state_nodes(item, binary, out)
+    elif is_dataclass(node) and (binary or not isinstance(node, ElasticQuant)):
+        if isinstance(node, ElasticQuant):
+            out.append(node)
+        for f in fields(node):
+            _state_nodes(getattr(node, f.name), binary, out)
+    return out
 
 
 def named_parameters(model: Model) -> list[tuple[str, DenseMatrix]]:
-    """Stable (name, tensor) listing of every trainable parameter.
+    """Every trainable tensor under the name it was built with, in state order.
 
-    The full-precision twin carries no binarizers or estimators, so those
-    entries are omitted for it; everything else is shared with the binary
-    model, which keeps teacher/student checkpoints aligned.
+    This one list is what the optimizer trains and what checkpoints save and
+    load.  The full-precision twin carries no binarizers or estimators;
+    everything else is shared with the binary model, which keeps
+    teacher/student checkpoints aligned.
     """
-    cfg = model.config
-    binary = not cfg.full_precision
-    out: list[tuple[str, DenseMatrix]] = [
-        ("emb.tok", model.emb.tok),
-        ("emb.pos", model.emb.pos),
-        ("emb.seg", model.emb.seg),
-        ("emb.ln.gamma", model.emb.ln_gamma),
-        ("emb.ln.beta", model.emb.ln_beta),
-    ]
-    for i, blk in enumerate(model.blocks):
-        pre = f"layer{i}"
-        a = blk.attn
-        out += [
-            (f"{pre}.attn.wq", a.wq),
-            (f"{pre}.attn.wk", a.wk),
-            (f"{pre}.attn.wv", a.wv),
-            (f"{pre}.attn.wo", a.wo),
-            (f"{pre}.attn.bq", a.bq),
-            (f"{pre}.attn.bk", a.bk),
-            (f"{pre}.attn.bv", a.bv),
-            (f"{pre}.attn.bo", a.bo),
-        ]
-        if binary:
-            for label, q in (("in_q", a.in_q), ("in_k", a.in_k), ("in_v", a.in_v), ("in_o", a.in_o)):
-                out += _quant_pairs(f"{pre}.attn.{label}", q)
-            for h in range(a.heads):
-                for label, lst in (("q", a.head_q), ("k", a.head_k), ("v", a.head_v), ("att", a.head_att)):
-                    out += _quant_pairs(f"{pre}.attn.h{h}.{label}", lst[h])
-            if a.estimators is not None:
-                est = a.estimators
-                for fname, f in (
-                    ("w_q", est.w_q),
-                    ("w_k", est.w_k),
-                    ("w_q_star", est.w_q_star),
-                    ("w_k_star", est.w_k_star),
-                    ("u_v_star", est.u_v_star),
-                    ("v_v_star", est.v_v_star),
-                ):
-                    out.append((f"{pre}.attn.est.{fname}", f))
-        out += [
-            (f"{pre}.ln_attn.gamma", blk.ln_attn_gamma),
-            (f"{pre}.ln_attn.beta", blk.ln_attn_beta),
-            (f"{pre}.ffn.w1", blk.ffn.w1),
-            (f"{pre}.ffn.b1", blk.ffn.b1),
-            (f"{pre}.ffn.w2", blk.ffn.w2),
-            (f"{pre}.ffn.b2", blk.ffn.b2),
-        ]
-        if binary:
-            out += _quant_pairs(f"{pre}.ffn.in_1", blk.ffn.in_1)
-            out += _quant_pairs(f"{pre}.ffn.in_2", blk.ffn.in_2)
-        out += [
-            (f"{pre}.ln_ffn.gamma", blk.ln_ffn_gamma),
-            (f"{pre}.ln_ffn.beta", blk.ln_ffn_beta),
-        ]
-    out += [
-        ("head.mlm.w", model.head.mlm_w),
-        ("head.mlm.b", model.head.mlm_b),
-        ("head.nsp.w", model.head.nsp_w),
-        ("head.nsp.b", model.head.nsp_b),
-    ]
-    return out
+    nodes = _state_nodes(model, not model.config.full_precision, [])
+    return [(p.name, p) for p in nodes if isinstance(p, DenseMatrix)]
+
+
+def model_binarizers(model: Model) -> list[ElasticQuant]:
+    """All elastic binarizers of a model (empty for a full-precision twin)."""
+    nodes = _state_nodes(model, not model.config.full_precision, [])
+    return [q for q in nodes if isinstance(q, ElasticQuant)]
 
 
 def parameter_inventory(model: Model) -> dict[str, int]:
@@ -521,7 +493,12 @@ def _fnv1a64(data: bytes) -> int:
 
 
 def save_checkpoint(path, model: Model) -> None:
-    """Write config and all named tensors (float32) with a trailing checksum."""
+    """Write config and all named tensors (float32) with a trailing checksum.
+
+    The bytes go to a temporary file in the same directory, are synced, and
+    replace ``path`` in one rename, so a failed write leaves any earlier
+    checkpoint at ``path`` intact.
+    """
     buf = bytearray()
     buf += _MAGIC
     buf += struct.pack("<I", _VERSION)
@@ -539,7 +516,15 @@ def save_checkpoint(path, model: Model) -> None:
             buf += struct.pack("<Q", dim)
         buf += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
     buf += struct.pack("<Q", _fnv1a64(bytes(buf)))
-    Path(path).write_bytes(bytes(buf))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(bytes(buf))
+        with tmp.open("rb") as f:
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once the rename succeeded
 
 
 class _Cursor:
@@ -583,9 +568,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Array]]:
     (cfg_len,) = cur.unpack("<Q")
     try:
         cfg_dict = json.loads(cur.take(cfg_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        config = ModelConfig.from_dict(cfg_dict).validate()
+    except (UnicodeDecodeError, json.JSONDecodeError, ConfigError) as err:
         raise CheckpointFormatError(f"unreadable config block: {err}") from err
-    config = ModelConfig.from_dict(cfg_dict).validate()
 
     (n_tensors,) = cur.unpack("<I")
     tensors: dict[str, Array] = {}

@@ -48,7 +48,7 @@ class DenseMatrix:
 
     def ensure_grad(self) -> Array:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape)
         return self.grad
 
     def zero_grad(self) -> None:
@@ -79,11 +79,6 @@ class Tape:
             fn()
 
 
-def _out_grad(out: DenseMatrix) -> Array | None:
-    """Upstream gradient of an op output; None means nothing flowed back."""
-    return out.grad
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
@@ -97,7 +92,7 @@ def matmul(tape: Tape | None, a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if tape is not None:
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None:
                 return
             a.ensure_grad()[...] += g @ b.data.T
@@ -112,7 +107,7 @@ def transpose(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     if tape is not None:
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None:
                 return
             a.ensure_grad()[...] += g.T
@@ -128,7 +123,7 @@ def add(tape: Tape | None, a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if tape is not None:
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None:
                 return
             a.ensure_grad()[...] += g
@@ -146,7 +141,7 @@ def add_bias(tape: Tape | None, a: DenseMatrix, bias: DenseMatrix) -> DenseMatri
     if tape is not None:
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None:
                 return
             a.ensure_grad()[...] += g
@@ -161,7 +156,7 @@ def scale(tape: Tape | None, a: DenseMatrix, factor: float) -> DenseMatrix:
     if tape is not None:
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None:
                 return
             a.ensure_grad()[...] += g * factor
@@ -176,7 +171,7 @@ def add_constant(tape: Tape | None, a: DenseMatrix, shift: Array) -> DenseMatrix
     if tape is not None:
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None:
                 return
             a.ensure_grad()[...] += g
@@ -196,7 +191,7 @@ def gather_rows(tape: Tape | None, table: DenseMatrix, indices: Array) -> DenseM
     if tape is not None:
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None:
                 return
             np.add.at(table.ensure_grad(), idx, g)
@@ -212,30 +207,12 @@ def slice_cols(tape: Tape | None, a: DenseMatrix, start: int, stop: int) -> Dens
     if tape is not None:
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None:
                 return
             a.ensure_grad()[:, start:stop] += g
 
         tape.record("slice_cols", bwd)
-    return out
-
-
-def concat_rows(tape: Tape | None, parts: Sequence[DenseMatrix]) -> DenseMatrix:
-    if not parts:
-        raise ValueError("concat_rows needs at least one part")
-    out = DenseMatrix(np.vstack([p.data for p in parts]))
-    if tape is not None:
-        offsets = np.cumsum([0] + [p.rows for p in parts])
-
-        def bwd():
-            g = _out_grad(out)
-            if g is None:
-                return
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                p.ensure_grad()[...] += g[lo:hi]
-
-        tape.record("concat_rows", bwd)
     return out
 
 
@@ -247,7 +224,7 @@ def concat_cols(tape: Tape | None, parts: Sequence[DenseMatrix]) -> DenseMatrix:
         offsets = np.cumsum([0] + [p.cols for p in parts])
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None:
                 return
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
@@ -270,7 +247,7 @@ def softmax_rows(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     if tape is not None:
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None:
                 return
             inner = (g * p).sum(axis=1, keepdims=True)
@@ -300,7 +277,7 @@ def layer_norm(
         n = a.cols
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None:
                 return
             beta.ensure_grad()[...] += g.sum(axis=0, keepdims=True)
@@ -330,7 +307,7 @@ def gelu(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     if tape is not None:
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None:
                 return
             dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
@@ -372,7 +349,7 @@ def cross_entropy(
     if tape is not None:
 
         def bwd():
-            g = _out_grad(out)
+            g = out.grad
             if g is None or count == 0:
                 return
             p = np.exp(logp)

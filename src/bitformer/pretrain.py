@@ -28,7 +28,7 @@ from .data import (
     make_nsp_pairs,
     mask_tokens,
 )
-from .model import Model, encode, forward, named_parameters
+from .model import Model, encode, forward, model_binarizers, named_parameters
 from .numerics import (
     AdamW,
     DenseMatrix,
@@ -41,7 +41,6 @@ from .numerics import (
     scale,
     transpose,
 )
-from .quant import ElasticQuant
 from .rng import substream
 
 Array = np.ndarray
@@ -219,15 +218,6 @@ class StepMetrics:
                 )
             ]
         )
-
-
-def model_binarizers(model: Model) -> list[ElasticQuant]:
-    """All elastic binarizers of a model (empty for a full-precision twin)."""
-    quants: list[ElasticQuant] = []
-    for blk in model.blocks:
-        quants.extend(blk.attn.binarizers())
-        quants.extend([blk.ffn.in_1, blk.ffn.in_2])
-    return quants
 
 
 def project_binarizer_levels(model: Model, floor: float = LEVEL_FLOOR) -> None:

@@ -18,9 +18,6 @@ one deliberate exception is the ±1 level: the hard forward is already linear
 in ``alpha``, so its gradient is the readout sign itself.  ``mode="relaxed"``
 runs the surrogate as the forward — that is what whole-network finite
 differencing uses — while the backward closures are identical in both modes.
-
-``residual`` is the exact complement ``full - binarized``: the part of a
-value that binarization discards, which downstream estimator modules model.
 """
 
 from __future__ import annotations
@@ -65,27 +62,10 @@ def _check_mode(mode: str) -> None:
 
 
 def _sign_pm1(x: Array) -> Array:
-    """Two-level sign with sign(0) = +1."""
-    return np.where(x >= 0, 1.0, -1.0)
-
-
-def sign_ste(tape: Tape | None, x: DenseMatrix, mode: QuantMode = "hard") -> DenseMatrix:
-    """sign(x) in {-1,+1}; gradient passes through where |x| <= 1."""
-    _check_mode(mode)
-    if mode == "hard":
-        out = DenseMatrix(_sign_pm1(x.data))
-    else:
-        out = DenseMatrix(np.clip(x.data, -1.0, 1.0))
-    if tape is not None:
-        window = (np.abs(x.data) <= 1.0).astype(np.float64)
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            x.ensure_grad()[...] += g * window
-
-        tape.record("sign_ste", bwd)
+    """Two-level sign with sign(0) = +1 (and -1 for NaN)."""
+    out = np.greater_equal(x, 0.0).astype(np.float64)
+    out *= 2.0
+    out -= 1.0
     return out
 
 
@@ -114,7 +94,7 @@ def binarize_weight(tape: Tape | None, w: DenseMatrix, mode: QuantMode = "hard")
     else:
         out = DenseMatrix(scales * np.clip(centered, -1.0, 1.0))
     if tape is not None:
-        window = (np.abs(centered) <= 1.0).astype(np.float64)
+        scaled_window = scales * (np.abs(centered) <= 1.0)
         clipped = np.clip(centered, -1.0, 1.0)
         w_sign = _sign_pm1(data)
 
@@ -122,9 +102,9 @@ def binarize_weight(tape: Tape | None, w: DenseMatrix, mode: QuantMode = "hard")
             g = out.grad
             if g is None:
                 return
-            through_sign = g * scales * window
+            through_sign = g * scaled_window
             dw = through_sign - through_sign.mean(axis=1, keepdims=True)
-            dw += (g * clipped).sum(axis=1, keepdims=True) * w_sign / n
+            dw += (g * clipped).sum(axis=1, keepdims=True) / n * w_sign
             w.ensure_grad()[...] += dw
 
         tape.record("binarize_weight", bwd)
@@ -215,22 +195,4 @@ def binarize_attention_01(
             q.beta.ensure_grad()[0, 0] += -float((g * inside).sum())
 
         tape.record("binarize_attention_01", bwd)
-    return out
-
-
-def residual(tape: Tape | None, full: DenseMatrix, binarized: DenseMatrix) -> DenseMatrix:
-    """Exact binarization remainder: full - binarized."""
-    if full.data.shape != binarized.data.shape:
-        raise ValueError("residual needs same-shape operands")
-    out = DenseMatrix(full.data - binarized.data)
-    if tape is not None:
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            full.ensure_grad()[...] += g
-            binarized.ensure_grad()[...] -= g
-
-        tape.record("residual", bwd)
     return out

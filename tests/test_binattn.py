@@ -90,15 +90,17 @@ def test_head_rank_blocks_split_rank_contiguously_and_evenly():
 def test_head_with_empty_rank_block_gets_no_score_correction():
     # rank 1 over 2 heads: head 0 owns the only column, head 1 none
     layer = small_layer(seed=5, rank=1)
-    layer.estimators.use_attv = False
+    est = layer.estimators
     rng = np.random.default_rng(4)
-    for f in layer.estimators.parameters():
+    for f in est.parameters():
         f.data[...] = rng.normal(size=f.data.shape)
+    est.u_v_star.data[...] = 0.0  # value path off
     a = DenseMatrix(rng.normal(size=(5, 8)))
 
     with_kq: dict = {}
     attention_forward(None, a, layer, trace=with_kq)
-    layer.estimators.use_kq = False
+    est.w_q_star.data[...] = 0.0  # with both starred score factors at zero,
+    est.w_k_star.data[...] = 0.0  # every score term is exactly zero
     without_kq: dict = {}
     attention_forward(None, a, layer, trace=without_kq)
 
@@ -124,7 +126,9 @@ def test_init_estimators_shapes_and_flags():
     est = init_estimators(wq, wk, wv, hidden=c, rank=r)
     for f in (est.w_q, est.w_k, est.w_q_star, est.w_k_star, est.u_v_star, est.v_v_star):
         assert f.data.shape == (c, r)
-    assert est.use_kq and est.use_attv
+    # both paths start switched on: score and value factors are non-zero
+    assert np.any(est.w_q_star.data != 0) and np.any(est.w_k_star.data != 0)
+    assert np.any(est.u_v_star.data != 0)
     assert len(est.parameters()) == 6
 
 
@@ -173,13 +177,16 @@ def test_estimator_flags_disable_each_path():
         f.data[...] = np.random.default_rng(1).normal(size=f.data.shape)
     a = DenseMatrix(RNG.normal(size=(4, 8)))
 
+    # a path is switched off by zeroing its factors: with w_q_star and
+    # w_k_star at zero the score path adds exactly 0, and with u_v_star at
+    # zero the value path does
+    est = layer.estimators
     base = attention_forward(None, a, layer).data.copy()
-    layer.estimators.use_kq = False
+    est.w_q_star.data[...] = 0.0
+    est.w_k_star.data[...] = 0.0
     no_kq = attention_forward(None, a, layer).data.copy()
-    layer.estimators.use_attv = False
+    est.u_v_star.data[...] = 0.0
     none_on = attention_forward(None, a, layer).data.copy()
-    layer.estimators.use_kq = True
-    layer.estimators.use_attv = True
 
     plain = attention_forward(None, a, small_layer(seed=9)).data
     assert not np.allclose(base, no_kq)

@@ -23,7 +23,6 @@ from bitformer.bitkernel import (
     ternary_accumulate,
     ternary_binary_gemm,
     unpack_signs,
-    xnor_popcount_dot,
 )
 
 from oracles import naive_sign_dot, naive_ternary_dot
@@ -75,29 +74,31 @@ def test_pack_unpack_roundtrip(rows, cols, seed):
 
 
 # --------------------------------------------------------------------------
-# xnor-popcount dot
+# xnor-popcount dot: one-row operands of the packed accumulator
 # --------------------------------------------------------------------------
 
 
+def one_row_dot(x, y) -> int:
+    acc = binary_accumulate(pack_signs(x), pack_signs(y))
+    assert acc.shape == (1, 1)
+    return int(acc[0, 0])
+
+
 def test_xnor_dot_small_known_value():
-    a = pack_signs(np.array([[1.0, -1.0, 1.0]]))
-    b = pack_signs(np.array([[1.0, 1.0, -1.0]]))
     # (+1)(+1) + (-1)(+1) + (+1)(-1) = -1; popcount route: 2*1 - 3
-    assert xnor_popcount_dot(a.words[0], b.words[0], 3) == -1
+    assert one_row_dot(np.array([[1.0, -1.0, 1.0]]), np.array([[1.0, 1.0, -1.0]])) == -1
 
 
 def test_xnor_dot_boundary_lengths():
     for n in (1, 63, 64, 65, 128, 130):
         x = random_signs(RNG, 1, n)
         y = random_signs(RNG, 1, n)
-        got = xnor_popcount_dot(pack_signs(x).words[0], pack_signs(y).words[0], n)
-        assert got == naive_sign_dot(x[0].astype(int), y[0].astype(int))
+        assert one_row_dot(x, y) == naive_sign_dot(x[0].astype(int), y[0].astype(int))
 
 
 def test_xnor_dot_self_is_length():
     x = random_signs(RNG, 1, 100)
-    p = pack_signs(x)
-    assert xnor_popcount_dot(p.words[0], p.words[0], 100) == 100
+    assert one_row_dot(x, x) == 100
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,9 @@ inventory agrees with the cost-accounting formulas.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +33,7 @@ from bitformer.model import (
     forward_packed,
     load_checkpoint,
     load_model,
+    model_binarizers,
     named_parameters,
     parameter_inventory,
     save_checkpoint,
@@ -120,15 +124,6 @@ def test_sequence_longer_than_max_seq_is_rejected():
     model = build_model(tiny_config(max_seq=4), seed=0)
     with pytest.raises(ValueError, match="max_seq"):
         forward(model, np.arange(5) % 4)
-
-
-def test_baseline_and_plain_variant_share_architecture():
-    a = build_model(tiny_config(variant="baseline"), seed=5)
-    b = build_model(tiny_config(variant="bipft_a"), seed=5)
-    tokens = np.array([2, 5, 6, 3])
-    out_a = forward(a, tokens).mlm_logits.data
-    out_b = forward(b, tokens).mlm_logits.data
-    assert np.array_equal(out_a, out_b)
 
 
 def test_zeroed_estimators_match_estimator_free_forward():
@@ -414,6 +409,40 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(path)
 
 
+def test_failed_checkpoint_write_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    model_a = build_model(tiny_config(variant="bipft_b", rank=2), seed=0)
+    save_checkpoint(path, model_a)
+
+    real_write = Path.write_bytes
+
+    def torn_write(self, data):
+        real_write(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, build_model(tiny_config(variant="bipft_b", rank=2), seed=1))
+    monkeypatch.undo()
+
+    loaded = load_model(path)
+    for (n1, a), (n2, b) in zip(named_parameters(model_a), named_parameters(loaded)):
+        assert n1 == n2
+        assert np.array_equal(b.data, a.data.astype(np.float32).astype(np.float64))
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_checkpoint_with_an_unsupported_config_is_a_format_error(tmp_path, monkeypatch):
+    # e.g. a file written with a variant this version no longer has
+    path = tmp_path / "m.bin"
+    to_dict = ModelConfig.to_dict
+    monkeypatch.setattr(ModelConfig, "to_dict", lambda self: {**to_dict(self), "variant": "retired"})
+    save_checkpoint(path, build_model(tiny_config(), seed=0))
+    monkeypatch.undo()
+    with pytest.raises(CheckpointFormatError, match="retired"):
+        load_checkpoint(path)
+
+
 def test_loading_into_mismatched_architecture_names_the_tensors(tmp_path):
     path = tmp_path / "m.bin"
     save_checkpoint(path, build_model(tiny_config(variant="bipft_a"), seed=0))
@@ -429,7 +458,7 @@ def test_loading_into_mismatched_architecture_names_the_tensors(tmp_path):
 
 @pytest.mark.parametrize(
     "variant,rank,full_precision",
-    [("bipft_a", 0, False), ("baseline", 0, False), ("bipft_b", 3, False), ("bipft_a", 0, True)],
+    [("bipft_a", 0, False), ("bipft_b", 3, False), ("bipft_a", 0, True)],
 )
 def test_parameter_inventory_matches_cost_accounting(variant, rank, full_precision):
     cfg = tiny_config(variant=variant, rank=rank, full_precision=full_precision)
@@ -439,6 +468,23 @@ def test_parameter_inventory_matches_cost_accounting(variant, rank, full_precisi
     assert inv["binary_param_bits"] == report.binary_param_bits
     assert inv["fp_param_floats"] == report.fp_param_floats
     assert inv["head_param_floats"] == report.head_param_floats
+
+
+def test_binarizers_are_the_state_walk_and_none_for_the_full_precision_twin():
+    cfg = tiny_config(variant="bipft_b", rank=2)
+    model = build_model(cfg, seed=0)
+    want = [q for blk in model.blocks for q in blk.attn.binarizers() + [blk.ffn.in_1, blk.ffn.in_2]]
+    assert {id(q) for q in model_binarizers(model)} == {id(q) for q in want}
+    assert len(model_binarizers(model)) == len(want)
+    names = {n for n, _ in named_parameters(model)}
+    quant_names = {t.name for q in want for t in (q.alpha, q.beta)}
+    assert quant_names <= names
+
+    twin = build_model(replace(cfg, full_precision=True), seed=0)
+    assert model_binarizers(twin) == []
+    twin_names = {n for n, _ in named_parameters(twin)}
+    assert not twin_names & quant_names
+    assert twin_names == {n for n in names - quant_names if ".est." not in n}
 
 
 def test_named_parameters_are_unique_and_stable():

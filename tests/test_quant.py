@@ -23,8 +23,6 @@ from bitformer.quant import (
     binarize_activation_pm1,
     binarize_attention_01,
     binarize_weight,
-    residual,
-    sign_ste,
     weight_row_scales,
 )
 
@@ -47,42 +45,6 @@ def weighted_sum(build_out, arrays, coeffs):
 
 def fd_of(f, arrays, h=1e-5):
     return central_difference(lambda arrs: f(arrs), [a.copy() for a in arrays], h=h)
-
-
-# --------------------------------------------------------------------------
-# sign with straight-through window
-# --------------------------------------------------------------------------
-
-
-def test_sign_ste_forward_values_and_zero_convention():
-    x = DenseMatrix([[-2.0, -0.5, 0.0, 0.5, 2.0]])
-    out = sign_ste(None, x)
-    assert np.array_equal(out.data, [[-1.0, -1.0, 1.0, 1.0, 1.0]])
-
-
-def test_sign_ste_gradient_window():
-    x = DenseMatrix([[-2.0, -0.5, 0.3, 1.5, 0.9, -1.01, 1.0, -3.0, 0.0, 0.7]])
-    tape = Tape()
-    out = sign_ste(tape, x)
-    out.ensure_grad()[...] = 1.0
-    for _, fn in reversed(tape.ops):
-        fn()
-    want = (np.abs(x.data) <= 1.0).astype(float)
-    assert np.array_equal(x.grad, want)
-
-
-def test_sign_ste_fd_against_hardtanh_surrogate():
-    # points at least 0.01 away from the |x| = 1 kinks
-    pts = np.array([[-2.5, -1.3, -0.5, -0.2, 0.3, 0.55, 0.8, 1.2, 1.7, 3.0]])
-    coeffs = RNG.normal(size=pts.shape)
-
-    got = weighted_sum(lambda t, ps: sign_ste(t, ps[0], mode="relaxed"), [pts], coeffs)[0]
-
-    def f(arrs):
-        return float(np.sum(coeffs * np.clip(arrs[0], -1.0, 1.0)))
-
-    want = fd_of(f, [pts])[0]
-    assert relative_error(got, want, floor=1e-6) < FD_TOL
 
 
 # --------------------------------------------------------------------------
@@ -334,34 +296,6 @@ def test_att01_key_mask_gates_selection_and_gradient_at_any_threshold():
         assert np.array_equal(masked_grad[:, key_mask], plain_grad[:, key_mask])
         assert q.beta.grad[0, 0] == -(1.0 + 2.0 + 6.0)  # inside 0 < u < 1, unmasked only
         assert q.alpha.grad[0, 0] == 4.0 + 5.0 + 8.0  # saturated u >= 1
-
-
-# --------------------------------------------------------------------------
-# residual decomposition
-# --------------------------------------------------------------------------
-
-
-def test_residual_reconstructs_exactly():
-    x = RNG.normal(size=(4, 9))
-    xm = DenseMatrix(x)
-    xb = binarize_weight(None, xm)
-    r = residual(None, xm, xb)
-    # the remainder is the exact float difference ...
-    assert np.array_equal(r.data, x - xb.data)
-    # ... and adding it back recovers the input to rounding precision
-    assert np.allclose(r.data + xb.data, x, rtol=0, atol=1e-15)
-
-
-def test_residual_gradients_are_signed_passthrough():
-    full = DenseMatrix(RNG.normal(size=(2, 5)))
-    binz = DenseMatrix(RNG.normal(size=(2, 5)))
-    tape = Tape()
-    r = residual(tape, full, binz)
-    r.ensure_grad()[...] = np.full((2, 5), 2.0)
-    for _, fn in reversed(tape.ops):
-        fn()
-    assert np.array_equal(full.grad, np.full((2, 5), 2.0))
-    assert np.array_equal(binz.grad, np.full((2, 5), -2.0))
 
 
 # --------------------------------------------------------------------------
