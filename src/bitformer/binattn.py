@@ -122,9 +122,6 @@ class ResidualEstimators:
     def rank(self) -> int:
         return self.w_q.cols
 
-    def parameters(self) -> list[DenseMatrix]:
-        return [self.w_q, self.w_k, self.w_q_star, self.w_k_star, self.u_v_star, self.v_v_star]
-
 
 def zero_estimators(hidden: int, rank: int, name: str = "est") -> ResidualEstimators:
     """All-zero factors: both estimator paths contribute exactly nothing."""

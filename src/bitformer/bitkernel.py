@@ -192,9 +192,9 @@ class CostReport:
 def equivalent_flops(config, seq_len: int | None = None) -> CostReport:
     """Cost report for one forward pass of ``seq_len`` tokens under ``config``.
 
-    ``config`` needs attributes layers/hidden/heads/ffn/max_seq/vocab and
-    optionally variant ("bipft_b" enables estimator costs), rank, and
-    full_precision.  ``seq_len`` defaults to min(max_seq, 128).
+    ``config`` needs attributes layers/hidden/heads/ffn/max_seq/vocab,
+    variant ("bipft_b" enables estimator costs), rank, and full_precision.
+    ``seq_len`` defaults to min(max_seq, 128).
 
     Per-layer MAC counts (n = seq_len, C = hidden, F = ffn, H = heads, r = rank):
 
@@ -215,9 +215,7 @@ def equivalent_flops(config, seq_len: int | None = None) -> CostReport:
     """
     L, C, H, F = config.layers, config.hidden, config.heads, config.ffn
     vocab, max_seq = config.vocab, config.max_seq
-    variant = getattr(config, "variant", "bipft_a")
-    rank = getattr(config, "rank", 0) or 0
-    full_precision = getattr(config, "full_precision", False)
+    variant, rank, full_precision = config.variant, config.rank, config.full_precision
     n = seq_len if seq_len is not None else min(max_seq, 128)
     if n <= 0 or n > max_seq:
         raise ValueError(f"seq_len {n} outside (0, {max_seq}]")

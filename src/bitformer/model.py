@@ -28,14 +28,17 @@ returns those names, and that one list is what the optimizer trains and what
 checkpoints save and load.
 
 Checkpoints are a single little-endian binary container: magic, version,
-config JSON, named float32 tensors, and a trailing 64-bit FNV-1a checksum
-over everything before it.  Writes are atomic (temporary file, then rename).
-Loads verify magic, version, and checksum before parsing, and loading into a
-model checks the tensor inventory both ways.
+config JSON, named float32 tensors, and a trailing 8-byte BLAKE2b digest
+(``hashlib.blake2b``, ``digest_size=8``) of everything before it; this is
+version 2, and files of any other version are refused by name.  Writes are
+atomic (temporary file, then rename).  Loads verify magic, version, and
+checksum before parsing, and loading into a model checks the tensor
+inventory both ways.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -139,7 +142,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in cls.__dataclass_fields__ and fields(cls)}
+        known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -479,17 +482,11 @@ class CheckpointMismatchError(CheckpointError):
 
 
 _MAGIC = b"BPFT"
-_VERSION = 1
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = (1 << 64) - 1
+_VERSION = 2
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _U64
-    return h
+def _checksum(data) -> bytes:
+    return hashlib.blake2b(data, digest_size=8).digest()
 
 
 def save_checkpoint(path, model: Model) -> None:
@@ -515,11 +512,11 @@ def save_checkpoint(path, model: Model) -> None:
         for dim in p.data.shape:
             buf += struct.pack("<Q", dim)
         buf += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-    buf += struct.pack("<Q", _fnv1a64(bytes(buf)))
+    buf += _checksum(buf)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(bytes(buf))
+        tmp.write_bytes(buf)
         with tmp.open("rb") as f:
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -528,11 +525,11 @@ def save_checkpoint(path, model: Model) -> None:
 
 
 class _Cursor:
-    def __init__(self, raw: bytes):
+    def __init__(self, raw: memoryview):
         self.raw = raw
         self.off = 0
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self.off + count > len(self.raw):
             raise CheckpointFormatError(
                 f"truncated checkpoint: wanted {count} bytes at offset {self.off}, "
@@ -556,18 +553,18 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Array]]:
     (version,) = struct.unpack_from("<I", raw, len(_MAGIC))
     if version != _VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    (stored,) = struct.unpack_from("<Q", raw, len(raw) - 8)
-    actual = _fnv1a64(raw[:-8])
+    body = memoryview(raw)[:-8]
+    stored, actual = raw[-8:], _checksum(body)
     if stored != actual:
         raise CheckpointChecksumError(
-            f"checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+            f"checksum mismatch: stored {stored.hex()}, computed {actual.hex()}"
         )
 
-    cur = _Cursor(raw[:-8])
+    cur = _Cursor(body)
     cur.take(len(_MAGIC) + 4)
     (cfg_len,) = cur.unpack("<Q")
     try:
-        cfg_dict = json.loads(cur.take(cfg_len).decode("utf-8"))
+        cfg_dict = json.loads(str(cur.take(cfg_len), "utf-8"))
         config = ModelConfig.from_dict(cfg_dict).validate()
     except (UnicodeDecodeError, json.JSONDecodeError, ConfigError) as err:
         raise CheckpointFormatError(f"unreadable config block: {err}") from err
@@ -576,7 +573,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Array]]:
     tensors: dict[str, Array] = {}
     for _ in range(n_tensors):
         (name_len,) = cur.unpack("<H")
-        name = cur.take(name_len).decode("utf-8")
+        try:
+            name = str(cur.take(name_len), "utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointFormatError(f"tensor name is not UTF-8: {err}") from err
         (ndim,) = cur.unpack("<B")
         dims = [cur.unpack("<Q")[0] for _ in range(ndim)]
         count = int(np.prod(dims)) if dims else 1

@@ -3,12 +3,14 @@
 Everything here is written the slow, obvious way (explicit loops, textbook
 formulas) on purpose: these functions are the second route that the fast
 library code is checked against, so they must not share code with it.
+``estimator_factors`` is plain test plumbing shared by two test modules.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from dataclasses import fields
 
 import numpy as np
 
@@ -151,3 +153,8 @@ def full_precision_encoder(
     mlm = affine(x, params["head.mlm.w"], params["head.mlm.b"])
     nsp = affine(x[:1], params["head.nsp.w"], params["head.nsp.b"])
     return mlm, nsp
+
+
+def estimator_factors(est) -> list:
+    """The six factor tensors of a ``ResidualEstimators``, in field order (not copies)."""
+    return [getattr(est, f.name) for f in fields(est)]

@@ -28,7 +28,7 @@ from bitformer.binattn import (
 from bitformer.numerics import DenseMatrix, Tape
 from bitformer.quant import binarize_weight
 
-from oracles import central_difference, relative_error
+from oracles import central_difference, estimator_factors, relative_error
 
 RNG = np.random.default_rng(3141)
 
@@ -92,7 +92,7 @@ def test_head_with_empty_rank_block_gets_no_score_correction():
     layer = small_layer(seed=5, rank=1)
     est = layer.estimators
     rng = np.random.default_rng(4)
-    for f in est.parameters():
+    for f in estimator_factors(est):
         f.data[...] = rng.normal(size=f.data.shape)
     est.u_v_star.data[...] = 0.0  # value path off
     a = DenseMatrix(rng.normal(size=(5, 8)))
@@ -129,7 +129,7 @@ def test_init_estimators_shapes_and_flags():
     # both paths start switched on: score and value factors are non-zero
     assert np.any(est.w_q_star.data != 0) and np.any(est.w_k_star.data != 0)
     assert np.any(est.u_v_star.data != 0)
-    assert len(est.parameters()) == 6
+    assert len(estimator_factors(est)) == 6
 
 
 def test_init_estimators_full_rank_value_factors_hold_value_remainder():
@@ -162,7 +162,7 @@ def test_estimator_free_variants_match_zeroed_estimators():
     layer_a = small_layer(seed=3)
     layer_b = small_layer(seed=3, rank=2)
     assert layer_b.estimators is not None
-    for f in layer_b.estimators.parameters():
+    for f in estimator_factors(layer_b.estimators):
         f.data[...] = 0.0
 
     a = RNG.normal(size=(6, 8))
@@ -173,7 +173,7 @@ def test_estimator_free_variants_match_zeroed_estimators():
 
 def test_estimator_flags_disable_each_path():
     layer = small_layer(seed=9, rank=1)
-    for f in layer.estimators.parameters():
+    for f in estimator_factors(layer.estimators):
         f.data[...] = np.random.default_rng(1).normal(size=f.data.shape)
     a = DenseMatrix(RNG.normal(size=(4, 8)))
 
@@ -217,7 +217,7 @@ def test_all_six_factors_receive_gradient_matching_relaxed_fd():
     layer = small_layer(seed=11, rank=1)
     est = layer.estimators
     rng = np.random.default_rng(2)
-    for f in est.parameters():
+    for f in estimator_factors(est):
         f.data[...] = rng.normal(size=f.data.shape) * 0.3
     a_np = rng.normal(size=(4, 8))
     coeffs = rng.normal(size=(4, 8))
@@ -228,7 +228,7 @@ def test_all_six_factors_receive_gradient_matching_relaxed_fd():
     for _, fn in reversed(tape.ops):
         fn()
 
-    factors = est.parameters()
+    factors = estimator_factors(est)
     got = [f.grad.copy() for f in factors]
     assert all(g is not None and np.any(g != 0) for g in got)
 
@@ -269,7 +269,7 @@ def test_packed_attention_matches_float_simulation():
         jitter_binarizers(layer, np.random.default_rng(seed + 50))
         if layer.estimators is not None:
             rng = np.random.default_rng(seed + 100)
-            for f in layer.estimators.parameters():
+            for f in estimator_factors(layer.estimators):
                 f.data[...] = rng.normal(size=f.data.shape) * 0.2
         a = np.random.default_rng(seed + 200).normal(size=(7, 8))
         key_mask = np.arange(7) < 6

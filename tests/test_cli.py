@@ -305,12 +305,14 @@ def test_inspect_prints_config_and_tensor_table(pretrained_run, capsys):
     assert "payload_bytes=" in out
 
 
-def test_inspect_corrupt_checkpoint_exits_4(tmp_path, capsys):
+@pytest.mark.parametrize("version", [0, 1])  # 1: the retired FNV-1a container
+def test_inspect_corrupt_checkpoint_exits_4(tmp_path, capsys, version):
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"BPFT" + b"\x00" * 64)
+    bad.write_bytes(b"BPFT" + version.to_bytes(4, "little") + b"\x00" * 60)
     rc = main(["inspect", "--checkpoint", str(bad)])
     assert rc == EXIT_SCHEMA_MISMATCH
-    assert "checkpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "checkpoint" in err and f"version {version}" in err
 
 
 # --------------------------------------------------------------------------

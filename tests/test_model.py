@@ -12,6 +12,7 @@ inventory agrees with the cost-accounting formulas.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from bitformer.model import (
 )
 from bitformer.numerics import Tape, cross_entropy, add
 
-from oracles import full_precision_encoder
+from oracles import estimator_factors, full_precision_encoder
 
 TINY = dict(layers=2, hidden=8, heads=2, ffn=16, max_seq=12, vocab=11)
 
@@ -130,7 +131,7 @@ def test_zeroed_estimators_match_estimator_free_forward():
     plain = build_model(tiny_config(variant="bipft_a"), seed=5)
     est = build_model(tiny_config(variant="bipft_b", rank=2), seed=5)
     for block in est.blocks:
-        for f in block.attn.estimators.parameters():
+        for f in estimator_factors(block.attn.estimators):
             f.data[...] = 0.0
     tokens = np.array([2, 5, 6, 7, 3])
     out_a = forward(plain, tokens).mlm_logits.data
@@ -289,7 +290,7 @@ def genericize_parameters(model, rng) -> None:
             g.data[...] = 1.0 + 0.2 * rng.normal(size=g.data.shape)
             bt.data[...] = 0.1 * rng.normal(size=bt.data.shape)
         if a.estimators is not None:
-            for f in a.estimators.parameters():
+            for f in estimator_factors(a.estimators):
                 f.data[...] = 0.3 * rng.normal(size=f.data.shape)
     model.emb.ln_gamma.data[...] = 1.0 + 0.2 * rng.normal(size=model.emb.ln_gamma.data.shape)
     model.emb.ln_beta.data[...] = 0.1 * rng.normal(size=model.emb.ln_beta.data.shape)
@@ -365,7 +366,9 @@ def test_checkpoint_roundtrip_and_byte_determinism(tmp_path):
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     save_checkpoint(p1, model)
     save_checkpoint(p2, model)
-    assert p1.read_bytes() == p2.read_bytes()
+    raw = p1.read_bytes()
+    assert raw == p2.read_bytes()
+    assert raw[-8:] == hashlib.blake2b(raw[:-8], digest_size=8).digest()
 
     loaded_cfg, tensors = load_checkpoint(p1)
     assert loaded_cfg == cfg
@@ -397,6 +400,18 @@ def test_checkpoint_rejects_flipped_payload_byte(tmp_path):
     raw[len(raw) // 2] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointChecksumError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_a_non_utf8_tensor_name_is_a_format_error(tmp_path):
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, build_model(tiny_config(), seed=0))
+    raw = bytearray(path.read_bytes())
+    first = raw.index(b"emb.tok")
+    raw[first] = 0xFF  # a lone 0xFF byte is never UTF-8
+    raw[-8:] = hashlib.blake2b(raw[:-8], digest_size=8).digest()  # re-hashed: only the name is wrong
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="not UTF-8"):
         load_checkpoint(path)
 
 
