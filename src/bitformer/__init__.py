@@ -21,6 +21,9 @@ __version__ = "0.1.0"
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
+# what the process started with, before any cap is applied
+STARTUP_OPENBLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
+
 
 def thread_cap() -> int | None:
     """The thread count ``BITFORMER_THREADS`` asks for; None when it is unset."""

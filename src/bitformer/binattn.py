@@ -63,11 +63,14 @@ from .numerics import (
 )
 from .quant import (
     ALPHA_FLOOR,
+    BinaryWeight,
     ElasticQuant,
     QuantMode,
+    apply_weight,
     binarize_activation_pm1,
     binarize_attention_01,
     binarize_weight,
+    prepare_weight,
     weight_row_scales,
 )
 
@@ -240,7 +243,8 @@ class AttentionLayerState:
     Projection weights are stored (out, in) and applied as ``x @ w.T``; the
     weight binarizer therefore scales per output unit.  Every linear has its
     own input binarizer, and every head its own query/key/value (two-level,
-    signed) and attention ({0, level}) binarizers.
+    signed) and attention ({0, level}) binarizers.  A full-precision layer
+    has none: its binarizer fields hold None.
     """
 
     heads: int
@@ -252,14 +256,14 @@ class AttentionLayerState:
     bk: DenseMatrix
     bv: DenseMatrix
     bo: DenseMatrix
-    in_q: ElasticQuant
-    in_k: ElasticQuant
-    in_v: ElasticQuant
-    in_o: ElasticQuant
-    head_q: list[ElasticQuant]
-    head_k: list[ElasticQuant]
-    head_v: list[ElasticQuant]
-    head_att: list[ElasticQuant]
+    in_q: ElasticQuant | None
+    in_k: ElasticQuant | None
+    in_v: ElasticQuant | None
+    in_o: ElasticQuant | None
+    head_q: list[ElasticQuant | None]
+    head_k: list[ElasticQuant | None]
+    head_v: list[ElasticQuant | None]
+    head_att: list[ElasticQuant | None]
     estimators: ResidualEstimators | None = None
 
     @property
@@ -279,13 +283,15 @@ def make_attention_layer(
     rank: int = 0,
     seq_hint: int = 64,
     name: str = "attn",
+    binary: bool = True,
 ) -> AttentionLayerState:
     """Fresh layer: normal(0, 0.02) weights, zero biases, unit binarizers.
 
     Attention binarizer levels start at 3/seq_hint so a fresh softmax row
     (mass about 1/seq) lands mid-range of the {0, level} rounding.  With
     rank > 0 the estimators are spectrally initialized from the drawn
-    query/key/value weights.
+    query/key/value weights.  ``binary=False`` builds the full-precision
+    layer, with no binarizers.
     """
     if hidden % heads != 0:
         raise ValueError(f"hidden ({hidden}) must divide evenly into {heads} heads")
@@ -295,6 +301,9 @@ def make_attention_layer(
 
     def b(suffix: str) -> DenseMatrix:
         return DenseMatrix(np.zeros((1, hidden)), name=f"{name}.{suffix}")
+
+    def quant(suffix: str, alpha: float = 1.0) -> ElasticQuant | None:
+        return ElasticQuant.create(alpha=alpha, name=f"{name}.{suffix}") if binary else None
 
     layer = AttentionLayerState(
         heads=heads,
@@ -306,16 +315,14 @@ def make_attention_layer(
         bk=b("bk"),
         bv=b("bv"),
         bo=b("bo"),
-        in_q=ElasticQuant.create(name=f"{name}.in_q"),
-        in_k=ElasticQuant.create(name=f"{name}.in_k"),
-        in_v=ElasticQuant.create(name=f"{name}.in_v"),
-        in_o=ElasticQuant.create(name=f"{name}.in_o"),
-        head_q=[ElasticQuant.create(name=f"{name}.h{h}.q") for h in range(heads)],
-        head_k=[ElasticQuant.create(name=f"{name}.h{h}.k") for h in range(heads)],
-        head_v=[ElasticQuant.create(name=f"{name}.h{h}.v") for h in range(heads)],
-        head_att=[
-            ElasticQuant.create(alpha=3.0 / seq_hint, name=f"{name}.h{h}.att") for h in range(heads)
-        ],
+        in_q=quant("in_q"),
+        in_k=quant("in_k"),
+        in_v=quant("in_v"),
+        in_o=quant("in_o"),
+        head_q=[quant(f"h{h}.q") for h in range(heads)],
+        head_k=[quant(f"h{h}.k") for h in range(heads)],
+        head_v=[quant(f"h{h}.v") for h in range(heads)],
+        head_att=[quant(f"h{h}.att", alpha=3.0 / seq_hint) for h in range(heads)],
     )
     if rank > 0:
         layer.estimators = init_estimators(
@@ -336,11 +343,18 @@ def binary_linear(
     b: DenseMatrix,
     in_q: ElasticQuant,
     mode: QuantMode = "hard",
+    w_bin: BinaryWeight | None = None,
 ) -> DenseMatrix:
-    """Binarized affine map: two-level input times two-level weights plus bias."""
+    """Binarized affine map: two-level input times two-level weights plus bias.
+
+    ``w_bin`` is ``w`` already prepared (transposed, in ``mode``, with
+    backward state when taped), as :func:`bitformer.model.binarize_linears`
+    makes it once per optimizer step; without it ``w`` is binarized here.
+    """
     aq = binarize_activation_pm1(tape, a, in_q, mode)
-    wb = binarize_weight(tape, w, mode)
-    return add_bias(tape, matmul(tape, aq, transpose(tape, wb)), b)
+    if w_bin is None:
+        w_bin = prepare_weight(w, mode, taped=tape is not None, transposed=True)
+    return add_bias(tape, matmul(tape, aq, apply_weight(tape, w_bin)), b)
 
 
 def _level(q: ElasticQuant) -> float:
@@ -360,19 +374,28 @@ def binary_linear_packed(a: Array, w: DenseMatrix, b: DenseMatrix, in_q: Elastic
 
 
 class SimOps:
-    """Float simulation of every binary product: taped or not, hard or relaxed."""
+    """Float simulation of every binary product: taped or not, hard or relaxed.
 
-    def __init__(self, tape: Tape | None = None, mode: QuantMode = "hard"):
-        self.tape, self.mode = tape, mode
+    ``weights`` maps linear weights to their prepared binarization
+    (``binary_linear``'s ``w_bin``); a weight it lacks is binarized per use.
+    """
+
+    def __init__(
+        self,
+        tape: Tape | None = None,
+        mode: QuantMode = "hard",
+        weights: dict[DenseMatrix, BinaryWeight] | None = None,
+    ):
+        self.tape, self.mode, self.weights = tape, mode, weights or {}
 
     def attention(self, a: DenseMatrix, layer: AttentionLayerState, key_mask) -> DenseMatrix:
-        return attention_forward(self.tape, a, layer, self.mode, key_mask)
+        return attention_forward(self.tape, a, layer, self.mode, key_mask, weights=self.weights)
 
     def embed(self, rows: DenseMatrix) -> DenseMatrix:
         return binarize_weight(self.tape, rows, self.mode)
 
     def linear(self, a, w, b, in_q) -> DenseMatrix:
-        return binary_linear(self.tape, a, w, b, in_q, self.mode)
+        return binary_linear(self.tape, a, w, b, in_q, self.mode, self.weights.get(w))
 
     def scores(self, q, k, q_bin: ElasticQuant, k_bin: ElasticQuant) -> DenseMatrix:
         qb = binarize_activation_pm1(self.tape, q, q_bin, self.mode)
@@ -507,9 +530,10 @@ def attention_forward(
     mode: QuantMode = "hard",
     key_mask: Array | None = None,
     trace: dict | None = None,
+    weights: dict[DenseMatrix, BinaryWeight] | None = None,
 ) -> DenseMatrix:
     """Float-simulated binary attention: :func:`attend` over :class:`SimOps`."""
-    return attend(SimOps(tape, mode), a, layer, key_mask, trace)
+    return attend(SimOps(tape, mode, weights), a, layer, key_mask, trace)
 
 
 def attention_forward_packed(

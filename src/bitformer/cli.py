@@ -4,8 +4,9 @@ Exit codes are fixed for scripting: 0 success, 1 verification failure,
 2 usage error (bad flags, missing files, invalid data), 3 numeric abort
 during training, 4 checkpoint schema mismatch or corruption.  Every
 training run writes a ``manifest.json`` into its output directory before
-touching model state, and all randomness flows from the single ``--seed``
-through named substreams, so a run is reproducible from its manifest.
+touching model state (it records the thread setting too), and all
+randomness flows from the single ``--seed`` through named substreams, so a
+run is reproducible from its manifest.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import thread_cap
+from . import STARTUP_OPENBLAS_THREADS, thread_cap
 from .bitkernel import binary_accumulate, equivalent_flops, pack_signs
 from .data import (
     SPECIAL_TOKENS,
@@ -111,6 +112,10 @@ class Manifest:
             "seed": seed,
             "run": run,
             "build_id": _build_id(),
+            "threads": {
+                "bitformer_threads": thread_cap(),
+                "openblas_num_threads_at_start": STARTUP_OPENBLAS_THREADS,
+            },
             "started": _now(),
             "finished": None,
             "outputs": {},

@@ -22,6 +22,12 @@ projections and the attention products:
   :func:`forward` to float accuracy.
 * :func:`encode` — the hidden states of :func:`forward` without the heads.
 
+A training step changes the weights only at its optimizer update, so
+:func:`binarize_linears` binarizes every block linear weight once per step;
+the step's forwards take it as ``weights`` and each tape records only its
+own backward from the shared matrices.  Results are bitwise equal to
+binarizing per sequence.
+
 Every trainable tensor is named once, where ``build_model`` creates it;
 :func:`named_parameters` walks the state dataclasses in field order and
 returns those names, and that one list is what the optimizer trains and what
@@ -63,7 +69,7 @@ from .numerics import (
     gelu,
     layer_norm,
 )
-from .quant import ElasticQuant, QuantMode
+from .quant import BinaryWeight, ElasticQuant, QuantMode, prepare_weight
 from .rng import substream
 
 __all__ = [
@@ -76,6 +82,7 @@ __all__ = [
     "Model",
     "ModelConfig",
     "PackedResult",
+    "binarize_linears",
     "build_model",
     "encode",
     "forward",
@@ -160,8 +167,8 @@ class FeedForwardState:
     b1: DenseMatrix
     w2: DenseMatrix
     b2: DenseMatrix
-    in_1: ElasticQuant
-    in_2: ElasticQuant
+    in_1: ElasticQuant | None  # None in the full-precision twin
+    in_2: ElasticQuant | None
 
 
 @dataclass
@@ -228,20 +235,21 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
         ln_beta=zeros((1, C), "emb.ln.beta"),
     )
 
-    rank = config.rank if config.variant == "bipft_b" and not config.full_precision else 0
+    binary = not config.full_precision
+    rank = config.rank if config.variant == "bipft_b" and binary else 0
     blocks = []
     for i in range(config.layers):
         pre = f"layer{i}"
         attn = make_attention_layer(
-            rng, C, config.heads, rank=rank, seq_hint=config.max_seq, name=f"{pre}.attn"
+            rng, C, config.heads, rank=rank, seq_hint=config.max_seq, name=f"{pre}.attn", binary=binary
         )
         ffn = FeedForwardState(
             w1=w((F, C), f"{pre}.ffn.w1"),
             b1=zeros((1, F), f"{pre}.ffn.b1"),
             w2=w((C, F), f"{pre}.ffn.w2"),
             b2=zeros((1, C), f"{pre}.ffn.b2"),
-            in_1=ElasticQuant.create(name=f"{pre}.ffn.in_1"),
-            in_2=ElasticQuant.create(name=f"{pre}.ffn.in_2"),
+            in_1=ElasticQuant.create(name=f"{pre}.ffn.in_1") if binary else None,
+            in_2=ElasticQuant.create(name=f"{pre}.ffn.in_2") if binary else None,
         )
         blocks.append(
             BlockState(
@@ -268,23 +276,21 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _state_nodes(node, binary: bool, out: list) -> list[DenseMatrix | ElasticQuant]:
+def _state_nodes(node, out: list) -> list[DenseMatrix | ElasticQuant]:
     """Append every tensor and binarizer under ``node`` to ``out``, in dataclass field order.
 
-    A binarizer comes before its level and threshold.  The full-precision
-    twin builds binarizers but never runs them, so with ``binary`` False
-    they are skipped here, the one place that decides it.
+    A binarizer comes before its level and threshold.
     """
     if isinstance(node, DenseMatrix):
         out.append(node)
     elif isinstance(node, list):
         for item in node:
-            _state_nodes(item, binary, out)
-    elif is_dataclass(node) and (binary or not isinstance(node, ElasticQuant)):
+            _state_nodes(item, out)
+    elif is_dataclass(node):
         if isinstance(node, ElasticQuant):
             out.append(node)
         for f in fields(node):
-            _state_nodes(getattr(node, f.name), binary, out)
+            _state_nodes(getattr(node, f.name), out)
     return out
 
 
@@ -296,14 +302,18 @@ def named_parameters(model: Model) -> list[tuple[str, DenseMatrix]]:
     everything else is shared with the binary model, which keeps
     teacher/student checkpoints aligned.
     """
-    nodes = _state_nodes(model, not model.config.full_precision, [])
+    nodes = _state_nodes(model, [])
     return [(p.name, p) for p in nodes if isinstance(p, DenseMatrix)]
 
 
 def model_binarizers(model: Model) -> list[ElasticQuant]:
     """All elastic binarizers of a model (empty for a full-precision twin)."""
-    nodes = _state_nodes(model, not model.config.full_precision, [])
-    return [q for q in nodes if isinstance(q, ElasticQuant)]
+    return [q for q in _state_nodes(model, []) if isinstance(q, ElasticQuant)]
+
+
+def _block_linears(blk: BlockState) -> tuple[DenseMatrix, ...]:
+    """The six projection weights of a block, the ones the binary model binarizes."""
+    return (blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo, blk.ffn.w1, blk.ffn.w2)
 
 
 def parameter_inventory(model: Model) -> dict[str, int]:
@@ -316,9 +326,7 @@ def parameter_inventory(model: Model) -> dict[str, int]:
     cfg = model.config
     head_names = {"head.mlm.w", "head.mlm.b", "head.nsp.w", "head.nsp.b"}
     binary_tensors = {"emb.tok", "emb.pos", "emb.seg"}
-    for i in range(cfg.layers):
-        for leaf in ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "ffn.w1", "ffn.w2"):
-            binary_tensors.add(f"layer{i}.{leaf}")
+    binary_tensors.update(w.name for blk in model.blocks for w in _block_linears(blk))
 
     binary_bits = 0
     scale_floats = 0
@@ -413,6 +421,24 @@ def _heads(tape: Tape | None, model: Model, x: DenseMatrix) -> tuple[DenseMatrix
     return mlm, nsp
 
 
+def binarize_linears(model: Model, taped: bool = True) -> dict[DenseMatrix, BinaryWeight]:
+    """Every block linear weight binarized once (hard mode), for one optimizer step.
+
+    Pass the result as ``weights`` to :func:`forward` or :func:`encode`: each
+    sequence then applies these matrices on its own tape instead of
+    binarizing them again, with bitwise-equal results.  ``taped=False``
+    keeps no backward state, for untaped forwards.  It is valid until the
+    weights change.  A full-precision model binarizes nothing.
+    """
+    if model.config.full_precision:
+        return {}
+    return {
+        w: prepare_weight(w, "hard", taped, transposed=True)
+        for blk in model.blocks
+        for w in _block_linears(blk)
+    }
+
+
 def encode(
     model: Model,
     token_ids,
@@ -420,9 +446,12 @@ def encode(
     pad_mask=None,
     tape: Tape | None = None,
     mode: QuantMode = "hard",
+    weights: dict[DenseMatrix, BinaryWeight] | None = None,
 ) -> list[DenseMatrix]:
     """Per-depth hidden states of :func:`forward`, without computing the heads."""
-    ops = FullPrecisionOps(tape) if model.config.full_precision else SimOps(tape, mode)
+    if weights and mode != "hard":
+        raise ValueError("prepared weights are hard-mode; relaxed forwards binarize their own")
+    ops = FullPrecisionOps(tape) if model.config.full_precision else SimOps(tape, mode, weights)
     return _encode(model, ops, token_ids, segment_ids, pad_mask)
 
 
@@ -433,6 +462,7 @@ def forward(
     pad_mask=None,
     tape: Tape | None = None,
     mode: QuantMode = "hard",
+    weights: dict[DenseMatrix, BinaryWeight] | None = None,
 ) -> ForwardResult:
     """Float-simulated forward over one sequence (rows = positions).
 
@@ -440,8 +470,9 @@ def forward(
     of every attention map and the padded rows' outputs are meaningless
     (losses must ignore them).  ``mode="relaxed"`` replaces the hard
     binarizer forwards with their clip surrogates for finite differencing.
+    ``weights`` is the step's :func:`binarize_linears`, if any.
     """
-    hidden = encode(model, token_ids, segment_ids, pad_mask, tape, mode)
+    hidden = encode(model, token_ids, segment_ids, pad_mask, tape, mode, weights)
     mlm, nsp = _heads(tape, model, hidden[-1])
     return ForwardResult(hidden_states=hidden, mlm_logits=mlm, nsp_logits=nsp)
 

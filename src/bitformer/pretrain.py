@@ -28,7 +28,7 @@ from .data import (
     make_nsp_pairs,
     mask_tokens,
 )
-from .model import Model, encode, forward, model_binarizers, named_parameters
+from .model import Model, binarize_linears, encode, forward, model_binarizers, named_parameters
 from .numerics import (
     AdamW,
     DenseMatrix,
@@ -263,10 +263,15 @@ def pretrain_loop(
 ) -> list[StepMetrics]:
     """Two-task pretraining with optional distillation; returns per-step metrics.
 
-    Gradients from the sequences of a batch accumulate additively (each
-    sequence's loss is pre-scaled by 1/batch_size, so the step is a batch
-    mean).  All randomness derives from named substreams of ``seed``; two
-    runs with equal arguments produce bitwise-identical parameters and logs.
+    Each sequence of a batch runs its own forward and backward, and the
+    gradients accumulate additively (each sequence's loss is pre-scaled by
+    1/batch_size, so the step is a batch mean).  The block linear weights
+    change only at the optimizer update, so they are binarized once per
+    step (:func:`~bitformer.model.binarize_linears`) and every sequence's
+    tape reads the same matrices; parameters, losses and logs are bitwise
+    equal to binarizing per sequence.  All randomness derives from named
+    substreams of ``seed``; two runs with equal arguments produce
+    bitwise-identical parameters and logs.
     """
     if teacher is not None:
         if not teacher.config.full_precision:
@@ -287,13 +292,14 @@ def pretrain_loop(
         n_rows = batch.token_ids.shape[0]
 
         opt.zero_grad()
+        weights = binarize_linears(model)
         sums = {"mlm": 0.0, "nsp": 0.0, "rep": 0.0, "logit": 0.0}
         hit = 0
         masked = 0
         for row in range(n_rows):
             tokens, segs, labels, nsp = _sequence_views(batch, row)
             tape = Tape()
-            res = forward(model, tokens, segs, tape=tape, mode="hard")
+            res = forward(model, tokens, segs, tape=tape, mode="hard", weights=weights)
             l_mlm = cross_entropy(tape, res.mlm_logits, labels)
             l_nsp = cross_entropy(tape, res.nsp_logits, nsp)
             l_rep = l_logit = None
@@ -319,6 +325,7 @@ def pretrain_loop(
                 hit += int((pred == labels[live]).sum())
 
             tape.backward(scale(tape, loss, 1.0 / n_rows))
+        weights = tape = None  # drop this step's binarized weights before the next are built
 
         lr = linear_warmup_schedule(step + 1, steps, warmup_frac, peak_lr)
         opt.step(lr=lr)
@@ -362,9 +369,11 @@ def _check_labels(examples: Sequence[Example], n_classes: int) -> None:
             raise DataError(f"label {label} outside class range [0, {n_classes})")
 
 
-def _classifier_logits(tape, model, tokens, segs, w, b):
-    last = encode(model, np.asarray(tokens), np.asarray(segs), tape=tape, mode="hard")[-1]
-    cls = gather_rows(tape, last, np.array([0]))
+def _classifier_logits(tape, model, tokens, segs, weights, w, b, frozen=False):
+    """Head logits of the classifier row; a ``frozen`` body runs untaped."""
+    body_tape = None if frozen else tape
+    last = encode(model, np.asarray(tokens), np.asarray(segs), tape=body_tape, weights=weights)[-1]
+    cls = gather_rows(body_tape, last, np.array([0]))
     logits = matmul(tape, cls, transpose(tape, w))
     return add(tape, logits, b)
 
@@ -385,8 +394,12 @@ def finetune(
     """Train a fresh full-precision head on the classifier row; report accuracy.
 
     Constant learning rate, no schedule, no distillation.  ``freeze_body``
-    restricts updates to the head (a linear probe); otherwise gradients also
-    flow into the body's latent parameters.
+    restricts updates to the head (a linear probe): the body then runs
+    untaped and only the head records a backward.  Otherwise gradients also
+    flow into the body's latent parameters.  The block linear weights are
+    binarized once per AdamW chunk and once for the evaluation pass
+    (:func:`~bitformer.model.binarize_linears`), not once per example;
+    results are bitwise equal to binarizing per example.
     """
     _check_labels(train_examples, n_classes)
     _check_labels(eval_examples, n_classes)
@@ -404,19 +417,24 @@ def finetune(
         for start in range(0, len(order), batch_size):
             chunk = order[start : start + batch_size]
             opt.zero_grad()
+            weights = binarize_linears(model, taped=not freeze_body)
             for idx in chunk:
                 (tokens, segs), label = train_examples[int(idx)]
                 tape = Tape()
-                logits = _classifier_logits(tape, model, tokens, segs, head_w, head_b)
+                logits = _classifier_logits(
+                    tape, model, tokens, segs, weights, head_w, head_b, frozen=freeze_body
+                )
                 loss = cross_entropy(tape, logits, np.array([label]))
                 tape.backward(scale(tape, loss, 1.0 / len(chunk)))
+            weights = tape = None  # drop this chunk's binarized weights before the next are built
             opt.step()
             if not freeze_body:
                 project_binarizer_levels(model)
 
     correct = 0
+    weights = binarize_linears(model, taped=False)
     for (tokens, segs), label in eval_examples:
-        logits = _classifier_logits(None, model, tokens, segs, head_w, head_b)
+        logits = _classifier_logits(None, model, tokens, segs, weights, head_w, head_b)
         correct += int(int(np.argmax(logits.data[0])) == label)
     accuracy = correct / len(eval_examples) if eval_examples else 0.0
     return FinetuneResult(accuracy=accuracy, head_w=head_w.data, head_b=head_b.data)

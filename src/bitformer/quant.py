@@ -4,7 +4,10 @@ Three binarizers cover the whole model:
 
 * ``binarize_weight`` — per-output-row: center on the row mean, take signs
   (sign(0) = +1), scale by the row's mean absolute value.  Each output row
-  holds at most the two values ±scale.
+  holds at most the two values ±scale.  It is ``prepare_weight`` (the
+  forward, once per weight value) followed by ``apply_weight`` (one tape
+  node per use), so a training step can binarize each weight once and
+  share it across the tapes of its batch.
 * ``binarize_activation_pm1`` — elastic two-level activations
   ``alpha * sign(a - beta)`` with a trainable level and threshold.
 * ``binarize_attention_01`` — post-softmax maps quantized to {0, alpha} by
@@ -74,41 +77,91 @@ def weight_row_scales(w: Array) -> Array:
     return np.abs(w).mean(axis=1)
 
 
-def binarize_weight(tape: Tape | None, w: DenseMatrix, mode: QuantMode = "hard") -> DenseMatrix:
+@dataclass
+class BinaryWeight:
+    """One weight matrix binarized once, ready to be applied on any number of tapes.
+
+    ``value`` is the two-level matrix, stored transposed (C-contiguous) when
+    ``transposed`` is set, as a linear layer multiplies by it.  The backward
+    state is the row scales, the unit window on the centered values (a bool
+    array) and those values clipped to [-1, 1]; an untaped preparation
+    carries none of it.  It stays valid while ``w.data`` is unchanged.
+    """
+
+    w: DenseMatrix
+    value: Array
+    transposed: bool = False
+    scales: Array | None = None
+    window: Array | None = None
+    clipped: Array | None = None
+
+
+def prepare_weight(
+    w: DenseMatrix, mode: QuantMode = "hard", taped: bool = True, transposed: bool = False
+) -> BinaryWeight:
     """Row-wise two-level weights: (mean |row|) * sign(row - mean(row)).
 
-    Backward is the exact gradient of the declared surrogate
-    ``(mean |row|) * hardtanh(row - mean(row))``: the sign path applies the
-    unit window to centered values (and subtracts its row mean, since the
-    center depends on every entry), the scale path contributes
-    ``sign(w) / cols`` weighted by the clipped centered values.
+    This is the forward half of :func:`binarize_weight`; ``taped`` keeps the
+    state its backward needs.  ``mode="relaxed"`` holds the surrogate
+    ``(mean |row|) * hardtanh(row - mean(row))`` instead of the signs.
     """
     _check_mode(mode)
     data = w.data
-    n = w.cols
-    row_mean = data.mean(axis=1, keepdims=True)
-    centered = data - row_mean
+    centered = data - data.mean(axis=1, keepdims=True)
     scales = np.abs(data).mean(axis=1, keepdims=True)
-    if mode == "hard":
-        out = DenseMatrix(scales * _sign_pm1(centered))
-    else:
-        out = DenseMatrix(scales * np.clip(centered, -1.0, 1.0))
+    # a transposed value is written straight into its (in, out) row-major buffer
+    value = np.empty(data.shape[::-1]).T if transposed else np.empty(data.shape)
+    levels = _sign_pm1(centered) if mode == "hard" else np.clip(centered, -1.0, 1.0)
+    np.multiply(scales, levels, out=value)
+    del levels  # gone before the backward state is built
+    if transposed:
+        value = value.T
+    if not taped:
+        return BinaryWeight(w, value, transposed)
+    return BinaryWeight(
+        w, value, transposed, scales, np.abs(centered) <= 1.0, np.clip(centered, -1.0, 1.0)
+    )
+
+
+def apply_weight(tape: Tape | None, bw: BinaryWeight) -> DenseMatrix:
+    """The prepared matrix as a tape node whose backward reaches ``bw.w``.
+
+    The node shares ``bw.value``; each call records its own backward, so one
+    preparation serves every sequence of an optimizer step.  Backward is the
+    exact gradient of the declared surrogate: the sign path applies the unit
+    window to centered values (and subtracts its row mean, since the center
+    depends on every entry), the scale path contributes ``sign(w) / cols``
+    weighted by the clipped centered values.
+    """
+    out = DenseMatrix(bw.value)
     if tape is not None:
-        scaled_window = scales * (np.abs(centered) <= 1.0)
-        clipped = np.clip(centered, -1.0, 1.0)
-        w_sign = _sign_pm1(data)
+        if bw.window is None:
+            raise ValueError(f"weight {bw.w.name!r} was binarized without backward state")
+        w = bw.w
 
         def bwd():
             g = out.grad
             if g is None:
                 return
-            through_sign = g * scaled_window
-            dw = through_sign - through_sign.mean(axis=1, keepdims=True)
-            dw += (g * clipped).sum(axis=1, keepdims=True) / n * w_sign
+            # a private (out, in) row-major copy: the row reductions below keep
+            # their summation order, and the copy is scratch space
+            g = np.ascontiguousarray(g.T) if bw.transposed else g.copy()
+            dw = np.multiply(bw.scales, bw.window)
+            dw *= g  # through the sign
+            dw -= dw.mean(axis=1, keepdims=True)
+            g *= bw.clipped
+            through_scale = _sign_pm1(w.data)
+            through_scale *= g.sum(axis=1, keepdims=True) / w.cols
+            dw += through_scale
             w.ensure_grad()[...] += dw
 
         tape.record("binarize_weight", bwd)
     return out
+
+
+def binarize_weight(tape: Tape | None, w: DenseMatrix, mode: QuantMode = "hard") -> DenseMatrix:
+    """Binarize ``w`` for one use: :func:`prepare_weight` then :func:`apply_weight`."""
+    return apply_weight(tape, prepare_weight(w, mode, taped=tape is not None))
 
 
 def binarize_activation_pm1(

@@ -3,7 +3,12 @@
 Everything here is written the slow, obvious way (explicit loops, textbook
 formulas) on purpose: these functions are the second route that the fast
 library code is checked against, so they must not share code with it.
-``estimator_factors`` is plain test plumbing shared by two test modules.
+The two reference training loops are the exception: they are built from the
+library's own forward, losses and optimizer, and differ from
+``pretrain_loop`` and ``finetune`` only in binarizing every weight afresh
+for each sequence, so they check the per-step weight binarization, not the
+math.  ``estimator_factors`` is plain test plumbing shared by two test
+modules.
 """
 
 from __future__ import annotations
@@ -158,3 +163,125 @@ def full_precision_encoder(
 def estimator_factors(est) -> list:
     """The six factor tensors of a ``ResidualEstimators``, in field order (not copies)."""
     return [getattr(est, f.name) for f in fields(est)]
+
+
+def per_sequence_pretrain(
+    model,
+    corpus,
+    *,
+    steps: int,
+    batch_size: int,
+    seed: int,
+    teacher=None,
+    peak_lr: float = 2e-4,
+    warmup_frac: float = 0.05,
+    weight_decay: float = 0.01,
+    temperature: float = 1.0,
+) -> list[str]:
+    """``pretrain_loop`` with one tape and one full forward per sequence; returns the log lines.
+
+    Same substreams, batches, loss terms, accumulation order, AdamW update
+    and level projection; no forward receives prepared weights.
+    """
+    from bitformer.data import IGNORE_LABEL, assemble_nsp_batch, make_nsp_pairs, mask_tokens
+    from bitformer.model import forward, named_parameters
+    from bitformer.numerics import AdamW, Tape, cross_entropy, linear_warmup_schedule, scale
+    from bitformer.pretrain import (
+        StepMetrics,
+        distill_losses,
+        project_binarizer_levels,
+        teacher_targets,
+        total_loss,
+    )
+    from bitformer.rng import substream
+
+    opt = AdamW([p for _, p in named_parameters(model)], lr=peak_lr, weight_decay=weight_decay)
+    rng_mask = substream(seed, "mask")
+    pairs = make_nsp_pairs(corpus, substream(seed, "nsp"), max_seq=model.config.max_seq)
+    lines = []
+    for step in range(steps):
+        batch = assemble_nsp_batch([next(pairs) for _ in range(batch_size)])
+        batch = mask_tokens(batch, len(corpus.vocab), rng_mask)
+        opt.zero_grad()
+        sums = [0.0, 0.0, 0.0, 0.0]
+        hit = masked = 0
+        for row in range(batch_size):
+            keep = batch.pad_mask[row]
+            tokens, segs = batch.token_ids[row, keep], batch.segment_ids[row, keep]
+            labels = batch.mlm_labels[row, keep]
+            tape = Tape()
+            res = forward(model, tokens, segs, tape=tape)
+            l_mlm = cross_entropy(tape, res.mlm_logits, labels)
+            l_nsp = cross_entropy(tape, res.nsp_logits, batch.nsp_labels[row : row + 1])
+            terms = [l_mlm, l_nsp]
+            if teacher is not None:
+                targets = teacher_targets(teacher, tokens, segs)
+                l_logit, l_rep = distill_losses(
+                    tape, res.mlm_logits, res.hidden_states, targets, temperature
+                )
+                terms += [l_rep, l_logit]
+            loss = total_loss(tape, *terms)
+            for i, term in enumerate(terms):
+                sums[i] += float(term.data[0, 0])
+            live = labels != IGNORE_LABEL
+            masked += int(live.sum())
+            hit += int((res.mlm_logits.data[live].argmax(axis=1) == labels[live]).sum())
+            tape.backward(scale(tape, loss, 1.0 / batch_size))
+        lr = linear_warmup_schedule(step + 1, steps, warmup_frac, peak_lr)
+        opt.step(lr=lr)
+        project_binarizer_levels(model)
+        means = [v / batch_size for v in sums]
+        acc = hit / masked if masked else 0.0
+        lines.append(StepMetrics(step, *means, lr=lr, masked_acc=acc).line())
+    return lines
+
+
+def per_example_finetune(
+    model, train, evals, *, epochs: int, lr: float, batch_size: int, seed: int, n_classes: int = 2
+):
+    """``finetune`` (body trained) with one tape and one full forward per example.
+
+    Returns (accuracy, head weight, head bias).
+    """
+    from bitformer.model import encode, named_parameters
+    from bitformer.numerics import (
+        AdamW,
+        DenseMatrix,
+        Tape,
+        add,
+        cross_entropy,
+        gather_rows,
+        matmul,
+        scale,
+        transpose,
+    )
+    from bitformer.pretrain import project_binarizer_levels
+    from bitformer.rng import substream
+
+    rng = substream(seed, "finetune-head")
+    head_w = DenseMatrix(0.02 * rng.normal(size=(n_classes, model.config.hidden)))
+    head_b = DenseMatrix(np.zeros((1, n_classes)))
+    opt = AdamW([head_w, head_b] + [p for _, p in named_parameters(model)], lr=lr)
+    order_rng = substream(seed, "finetune-order")
+
+    def logits(tape, tokens, segs):
+        last = encode(model, np.asarray(tokens), np.asarray(segs), tape=tape)[-1]
+        cls = gather_rows(tape, last, np.array([0]))
+        return add(tape, matmul(tape, cls, transpose(tape, head_w)), head_b)
+
+    for _ in range(epochs):
+        order = order_rng.permutation(len(train))
+        for start in range(0, len(order), batch_size):
+            chunk = order[start : start + batch_size]
+            opt.zero_grad()
+            for idx in chunk:
+                (tokens, segs), label = train[int(idx)]
+                tape = Tape()
+                loss = cross_entropy(tape, logits(tape, tokens, segs), np.array([label]))
+                tape.backward(scale(tape, loss, 1.0 / len(chunk)))
+            opt.step()
+            project_binarizer_levels(model)
+    correct = sum(
+        int(np.argmax(logits(None, tokens, segs).data[0])) == label for (tokens, segs), label in evals
+    )
+    return correct / len(evals), head_w.data, head_b.data

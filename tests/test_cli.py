@@ -331,6 +331,24 @@ def test_thread_cap_env_rejects_garbage(monkeypatch, capsys):
     assert "BITFORMER_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["1", None])
+def test_manifest_records_the_thread_setting(tmp_path, corpus_file, monkeypatch, cap):
+    import bitformer
+
+    if cap is None:
+        monkeypatch.delenv("BITFORMER_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("BITFORMER_THREADS", cap)
+    out = tmp_path / "run"
+    args = ["pretrain", "--corpus", str(corpus_file), "--out", str(out), "--steps", "1", "--batch", "2"]
+    assert main(args) == 0
+    threads = json.loads((out / "manifest.json").read_text())["threads"]
+    assert threads == {
+        "bitformer_threads": None if cap is None else int(cap),
+        "openblas_num_threads_at_start": bitformer.STARTUP_OPENBLAS_THREADS,
+    }
+
+
 # OpenBLAS's own thread count, read after importing the CLI first; prints
 # "none" when numpy bundles no OpenBLAS
 _OPENBLAS_THREADS_AFTER_CLI = """

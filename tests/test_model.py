@@ -29,6 +29,7 @@ from bitformer.model import (
     CheckpointMismatchError,
     ConfigError,
     ModelConfig,
+    binarize_linears,
     build_model,
     forward,
     forward_packed,
@@ -500,6 +501,26 @@ def test_binarizers_are_the_state_walk_and_none_for_the_full_precision_twin():
     twin_names = {n for n, _ in named_parameters(twin)}
     assert not twin_names & quant_names
     assert twin_names == {n for n in names - quant_names if ".est." not in n}
+
+
+def test_full_precision_twin_builds_no_binarizers():
+    twin = build_model(tiny_config(full_precision=True), seed=0)
+    for blk in twin.blocks:
+        attn = blk.attn
+        assert [attn.in_q, attn.in_k, attn.in_v, attn.in_o, blk.ffn.in_1, blk.ffn.in_2] == [None] * 6
+        for per_head in (attn.head_q, attn.head_k, attn.head_v, attn.head_att):
+            assert per_head == [None] * attn.heads
+
+
+def test_prepared_weights_are_refused_by_a_relaxed_forward():
+    model = build_model(tiny_config(), seed=0)
+    ids = np.array([2, 7, 8, 3])
+    assert np.array_equal(
+        forward(model, ids, weights=binarize_linears(model, taped=False)).mlm_logits.data,
+        forward(model, ids).mlm_logits.data,
+    )
+    with pytest.raises(ValueError, match="hard-mode"):
+        forward(model, ids, mode="relaxed", weights=binarize_linears(model))
 
 
 def test_named_parameters_are_unique_and_stable():

@@ -5,7 +5,9 @@ against an independent high-precision route (scipy's relative entropy for the
 KL term, textbook mean-square error for the hidden-state term) and their
 backward closures against central finite differences.  The loop tests pin the
 metric-line format, seed determinism down to bitwise parameter equality, the
-zero-step no-op, and the non-finite abort diagnostic.
+zero-step no-op, and the non-finite abort diagnostic.  Binarizing the block
+weights once per optimizer step is checked bitwise against reference loops
+that binarize per sequence.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from bitformer.pretrain import (
     teacher_targets,
     total_loss,
 )
-from oracles import central_difference, relative_error
+from oracles import central_difference, per_example_finetune, per_sequence_pretrain, relative_error
 
 RNG = np.random.default_rng(20240817)
 
@@ -275,6 +277,67 @@ def test_pretrain_reduces_mlm_loss_on_the_toy_corpus():
 
 
 # --------------------------------------------------------------------------
+# weights binarized once per optimizer step
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "variant,rank,with_teacher",
+    [("bipft_a", 0, False), ("bipft_b", 2, False), ("bipft_a", 0, True)],
+)
+def test_pretrain_matches_the_per_sequence_reference_bitwise(variant, rank, with_teacher):
+    corpus = toy_corpus()
+    cfg = tiny_config(len(corpus.vocab), variant=variant, rank=rank)
+    teacher = None
+    if with_teacher:
+        teacher = build_model(tiny_config(len(corpus.vocab), full_precision=True), seed=4)
+    kw = dict(steps=2, batch_size=4, seed=7, teacher=teacher, peak_lr=3e-3)
+    model, ref = build_model(cfg, seed=2), build_model(cfg, seed=2)
+    stream = io.StringIO()
+    pretrain_loop(model, corpus, log_stream=stream, **kw)
+    want_lines = per_sequence_pretrain(ref, corpus, **kw)
+    assert stream.getvalue().splitlines() == want_lines
+    assert_bitwise_equal(model, snapshot(ref))
+
+
+def test_finetune_matches_the_per_example_reference_bitwise():
+    corpus = toy_corpus()
+    data = encoded_task(corpus.vocab, seed=8, count=30)
+    kw = dict(epochs=1, lr=1e-3, batch_size=8, seed=4)
+    model = build_model(tiny_config(len(corpus.vocab), variant="bipft_b", rank=2), seed=1)
+    ref = copy.deepcopy(model)
+    got = finetune(model, data[:20], data[20:], n_classes=2, **kw)
+    accuracy, head_w, head_b = per_example_finetune(ref, data[:20], data[20:], **kw)
+    assert got.accuracy == accuracy
+    assert np.array_equal(got.head_w, head_w) and np.array_equal(got.head_b, head_b)
+    assert_bitwise_equal(model, snapshot(ref))
+
+
+def test_each_block_linear_is_binarized_once_per_step(monkeypatch):
+    from bitformer import binattn, model as model_module, quant
+
+    corpus = toy_corpus()
+    model = build_model(tiny_config(len(corpus.vocab)), seed=2)
+    linears = [
+        w.name
+        for blk in model.blocks
+        for w in (blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo, blk.ffn.w1, blk.ffn.w2)
+    ]
+    prepared = []
+    real = quant.prepare_weight
+
+    def counting(w, *args, **kwargs):
+        prepared.append(w.name)
+        return real(w, *args, **kwargs)
+
+    for module in (quant, binattn, model_module):
+        monkeypatch.setattr(module, "prepare_weight", counting)
+    pretrain_loop(model, corpus, steps=1, batch_size=4, seed=3)
+    assert len(linears) == 6 * model.config.layers
+    assert sorted(n for n in prepared if n in linears) == sorted(linears)
+
+
+# --------------------------------------------------------------------------
 # finetuning
 # --------------------------------------------------------------------------
 
@@ -314,6 +377,14 @@ def test_finetune_freeze_body_trains_only_the_head():
     )
     assert_bitwise_equal(model, before)
     assert result.head_w.shape == (2, TINY["hidden"])
+
+
+def test_finetune_freeze_body_records_no_body_gradient():
+    corpus = toy_corpus()
+    model = build_model(tiny_config(len(corpus.vocab)), seed=1)
+    data = encoded_task(corpus.vocab, seed=6, count=20)
+    finetune(model, data[:12], data[12:], epochs=1, n_classes=2, seed=2, lr=1e-3, freeze_body=True)
+    assert all(p.grad is None for _, p in named_parameters(model))
 
 
 def test_finetune_is_seed_deterministic():

@@ -20,9 +20,11 @@ from bitformer.quant import (
     ALPHA_FLOOR,
     ElasticQuant,
     QuantError,
+    apply_weight,
     binarize_activation_pm1,
     binarize_attention_01,
     binarize_weight,
+    prepare_weight,
     weight_row_scales,
 )
 
@@ -108,6 +110,26 @@ def test_binarize_weight_hard_and_relaxed_share_backward():
     g_hard = weighted_sum(lambda t, ps: binarize_weight(t, ps[0], mode="hard"), [w], coeffs)[0]
     g_rel = weighted_sum(lambda t, ps: binarize_weight(t, ps[0], mode="relaxed"), [w], coeffs)[0]
     assert np.array_equal(g_hard, g_rel)
+
+
+@pytest.mark.parametrize("mode", ["hard", "relaxed"])
+def test_transposed_weight_preparation_is_the_transpose_with_the_same_gradient(mode):
+    w = RNG.normal(size=(6, 40))  # rows long enough for pairwise summation
+    coeffs = RNG.normal(size=w.shape)
+    prepared = lambda t, ps: apply_weight(t, prepare_weight(ps[0], mode, transposed=True))  # noqa: E731
+    plain = lambda t, ps: binarize_weight(t, ps[0], mode)  # noqa: E731
+    want = binarize_weight(None, DenseMatrix(w), mode).data
+    assert np.array_equal(prepared(None, [DenseMatrix(w)]).data, want.T)
+    g_t = weighted_sum(prepared, [w], coeffs.T)[0]
+    g = weighted_sum(plain, [w], coeffs)[0]
+    assert np.array_equal(g_t, g)
+
+
+def test_untaped_weight_preparation_refuses_a_tape():
+    prepared = prepare_weight(DenseMatrix(RNG.normal(size=(3, 4))), taped=False)
+    assert apply_weight(None, prepared).data is prepared.value
+    with pytest.raises(ValueError, match="backward state"):
+        apply_weight(Tape(), prepared)
 
 
 # --------------------------------------------------------------------------
