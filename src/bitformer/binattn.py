@@ -42,7 +42,7 @@ selection, so no threshold can select them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,6 +77,7 @@ from .quant import (
 __all__ = [
     "AttentionLayerState",
     "FullPrecisionOps",
+    "InitTensors",
     "PackedOps",
     "ResidualEstimators",
     "SimOps",
@@ -276,8 +277,21 @@ class AttentionLayerState:
         return out
 
 
+class InitTensors:
+    """Tensor source of a fresh model: normal(0, 0.02) draws from ``rng``, in call order."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def drawn(self, name: str, shape: tuple[int, int]) -> DenseMatrix:
+        return DenseMatrix(self.rng.normal(0.0, 0.02, size=shape), name=name)
+
+    def filled(self, name: str, shape: tuple[int, int], value: float) -> DenseMatrix:
+        return DenseMatrix(np.full(shape, value), name=name)
+
+
 def make_attention_layer(
-    rng: np.random.Generator,
+    source,
     hidden: int,
     heads: int,
     rank: int = 0,
@@ -285,25 +299,29 @@ def make_attention_layer(
     name: str = "attn",
     binary: bool = True,
 ) -> AttentionLayerState:
-    """Fresh layer: normal(0, 0.02) weights, zero biases, unit binarizers.
+    """The layer's named tensors, each taken from ``source`` in state order.
 
-    Attention binarizer levels start at 3/seq_hint so a fresh softmax row
-    (mass about 1/seq) lands mid-range of the {0, level} rounding.  With
-    rank > 0 the estimators are spectrally initialized from the drawn
-    query/key/value weights.  ``binary=False`` builds the full-precision
-    layer, with no binarizers.
+    A tensor source has ``drawn(name, shape)`` for a tensor whose init is a
+    random draw and ``filled(name, shape, value)`` for one whose init is a
+    constant, each returning a :class:`DenseMatrix` under ``name``.
+    :class:`InitTensors` gives a fresh layer: normal(0, 0.02) weights, zero
+    biases, unit binarizers, attention binarizer levels at 3/seq_hint so a
+    fresh softmax row (mass about 1/seq) lands mid-range of the {0, level}
+    rounding, and, with rank > 0, zero estimator factors, which
+    :func:`init_estimators` can then fill from the drawn weights.
+    ``binary=False`` declares the full-precision layer, with no binarizers.
     """
     if hidden % heads != 0:
         raise ValueError(f"hidden ({hidden}) must divide evenly into {heads} heads")
 
     def w(suffix: str) -> DenseMatrix:
-        return DenseMatrix(rng.normal(0.0, 0.02, size=(hidden, hidden)), name=f"{name}.{suffix}")
+        return source.drawn(f"{name}.{suffix}", (hidden, hidden))
 
     def b(suffix: str) -> DenseMatrix:
-        return DenseMatrix(np.zeros((1, hidden)), name=f"{name}.{suffix}")
+        return source.filled(f"{name}.{suffix}", (1, hidden), 0.0)
 
     def quant(suffix: str, alpha: float = 1.0) -> ElasticQuant | None:
-        return ElasticQuant.create(alpha=alpha, name=f"{name}.{suffix}") if binary else None
+        return ElasticQuant.declare(source, f"{name}.{suffix}", alpha) if binary else None
 
     layer = AttentionLayerState(
         heads=heads,
@@ -325,8 +343,8 @@ def make_attention_layer(
         head_att=[quant(f"h{h}.att", alpha=3.0 / seq_hint) for h in range(heads)],
     )
     if rank > 0:
-        layer.estimators = init_estimators(
-            layer.wq.data, layer.wk.data, layer.wv.data, hidden, rank, heads, name=f"{name}.est"
+        layer.estimators = ResidualEstimators(
+            *(source.filled(f"{name}.est.{f.name}", (hidden, rank), 0.0) for f in fields(ResidualEstimators))
         )
     return layer
 

@@ -28,7 +28,11 @@ the step's forwards take it as ``weights`` and each tape records only its
 own backward from the shared matrices.  Results are bitwise equal to
 binarizing per sequence.
 
-Every trainable tensor is named once, where ``build_model`` creates it;
+Every trainable tensor is declared once, with its name, shape and init, in
+``_declare`` (the attention layer's part in
+:func:`~bitformer.binattn.make_attention_layer`), which takes each tensor
+from a tensor source: :func:`build_model` passes one that draws and fills
+them, :func:`load_model` one that reads them from a checkpoint.
 :func:`named_parameters` walks the state dataclasses in field order and
 returns those names, and that one list is what the optimizer trains and what
 checkpoints save and load.
@@ -38,8 +42,9 @@ config JSON, named float32 tensors, and a trailing 8-byte BLAKE2b digest
 (``hashlib.blake2b``, ``digest_size=8``) of everything before it; this is
 version 2, and files of any other version are refused by name.  Writes are
 atomic (temporary file, then rename).  Loads verify magic, version, and
-checksum before parsing, and loading into a model checks the tensor
-inventory both ways.
+checksum before parsing.  Loading a model builds it from the file with no
+init (no random draw, no SVD): the loaded arrays become the parameters, and
+the declaration checks the tensor inventory both ways, then the shapes.
 """
 
 from __future__ import annotations
@@ -56,8 +61,10 @@ import numpy as np
 from .binattn import (
     AttentionLayerState,
     FullPrecisionOps,
+    InitTensors,
     PackedOps,
     SimOps,
+    init_estimators,
     make_attention_layer,
 )
 from .numerics import (
@@ -206,33 +213,29 @@ class Model:
     head: HeadState
 
 
-def build_model(config: ModelConfig, seed: int = 0) -> Model:
-    """Deterministic init: normal(0, 0.02) weights/embeddings, unit norms.
+def _declare(config: ModelConfig, source) -> Model:
+    """The model's one declaration: every named tensor, taken from ``source`` in state order.
 
-    Binarizer levels start at one (attention maps at 3/max_seq), thresholds
-    at zero; estimator factors are spectrally initialized from the drawn
-    attention weights when the variant calls for them.  The full-precision
-    twin gets none: it never runs them.
+    ``source`` is a tensor source (see
+    :func:`~bitformer.binattn.make_attention_layer`): :func:`build_model`
+    passes one that draws and fills each tensor, :func:`load_model` one that
+    reads each from a checkpoint.  Random draws come in the order tok, pos,
+    seg, then per layer wq, wk, wv, wo, w1, w2, then mlm_w, nsp_w.
     """
-    config.validate()
-    rng = substream(seed, "init")
     C, F = config.hidden, config.ffn
 
-    def w(shape, name) -> DenseMatrix:
-        return DenseMatrix(rng.normal(0.0, 0.02, size=shape), name=name)
+    def ones(name: str, width: int) -> DenseMatrix:
+        return source.filled(name, (1, width), 1.0)
 
-    def zeros(shape, name) -> DenseMatrix:
-        return DenseMatrix(np.zeros(shape), name=name)
-
-    def ones(shape, name) -> DenseMatrix:
-        return DenseMatrix(np.ones(shape), name=name)
+    def zeros(name: str, width: int) -> DenseMatrix:
+        return source.filled(name, (1, width), 0.0)
 
     emb = EmbeddingState(
-        tok=w((config.vocab, C), "emb.tok"),
-        pos=w((config.max_seq, C), "emb.pos"),
-        seg=w((2, C), "emb.seg"),
-        ln_gamma=ones((1, C), "emb.ln.gamma"),
-        ln_beta=zeros((1, C), "emb.ln.beta"),
+        tok=source.drawn("emb.tok", (config.vocab, C)),
+        pos=source.drawn("emb.pos", (config.max_seq, C)),
+        seg=source.drawn("emb.seg", (2, C)),
+        ln_gamma=ones("emb.ln.gamma", C),
+        ln_beta=zeros("emb.ln.beta", C),
     )
 
     binary = not config.full_precision
@@ -240,35 +243,55 @@ def build_model(config: ModelConfig, seed: int = 0) -> Model:
     blocks = []
     for i in range(config.layers):
         pre = f"layer{i}"
-        attn = make_attention_layer(
-            rng, C, config.heads, rank=rank, seq_hint=config.max_seq, name=f"{pre}.attn", binary=binary
-        )
-        ffn = FeedForwardState(
-            w1=w((F, C), f"{pre}.ffn.w1"),
-            b1=zeros((1, F), f"{pre}.ffn.b1"),
-            w2=w((C, F), f"{pre}.ffn.w2"),
-            b2=zeros((1, C), f"{pre}.ffn.b2"),
-            in_1=ElasticQuant.create(name=f"{pre}.ffn.in_1") if binary else None,
-            in_2=ElasticQuant.create(name=f"{pre}.ffn.in_2") if binary else None,
-        )
         blocks.append(
             BlockState(
-                attn=attn,
-                ln_attn_gamma=ones((1, C), f"{pre}.ln_attn.gamma"),
-                ln_attn_beta=zeros((1, C), f"{pre}.ln_attn.beta"),
-                ffn=ffn,
-                ln_ffn_gamma=ones((1, C), f"{pre}.ln_ffn.gamma"),
-                ln_ffn_beta=zeros((1, C), f"{pre}.ln_ffn.beta"),
+                attn=make_attention_layer(
+                    source, C, config.heads, rank=rank, seq_hint=config.max_seq, name=f"{pre}.attn", binary=binary
+                ),
+                ln_attn_gamma=ones(f"{pre}.ln_attn.gamma", C),
+                ln_attn_beta=zeros(f"{pre}.ln_attn.beta", C),
+                ffn=FeedForwardState(
+                    w1=source.drawn(f"{pre}.ffn.w1", (F, C)),
+                    b1=zeros(f"{pre}.ffn.b1", F),
+                    w2=source.drawn(f"{pre}.ffn.w2", (C, F)),
+                    b2=zeros(f"{pre}.ffn.b2", C),
+                    in_1=ElasticQuant.declare(source, f"{pre}.ffn.in_1") if binary else None,
+                    in_2=ElasticQuant.declare(source, f"{pre}.ffn.in_2") if binary else None,
+                ),
+                ln_ffn_gamma=ones(f"{pre}.ln_ffn.gamma", C),
+                ln_ffn_beta=zeros(f"{pre}.ln_ffn.beta", C),
             )
         )
 
     head = HeadState(
-        mlm_w=w((config.vocab, C), "head.mlm.w"),
-        mlm_b=zeros((1, config.vocab), "head.mlm.b"),
-        nsp_w=w((2, C), "head.nsp.w"),
-        nsp_b=zeros((1, 2), "head.nsp.b"),
+        mlm_w=source.drawn("head.mlm.w", (config.vocab, C)),
+        mlm_b=zeros("head.mlm.b", config.vocab),
+        nsp_w=source.drawn("head.nsp.w", (2, C)),
+        nsp_b=zeros("head.nsp.b", 2),
     )
     return Model(config=config, emb=emb, blocks=blocks, head=head)
+
+
+def build_model(config: ModelConfig, seed: int = 0) -> Model:
+    """Deterministic init: normal(0, 0.02) weights/embeddings, unit norms.
+
+    The tensors are those of the one declaration (``_declare``), drawn from
+    the ``init`` substream of ``seed``.  Binarizer levels start at one
+    (attention maps at 3/max_seq), thresholds at zero; estimator factors are
+    then spectrally initialized (:func:`~bitformer.binattn.init_estimators`)
+    from each layer's drawn attention weights when the variant calls for
+    them.  The full-precision twin gets no binarizers or estimators: it
+    never runs them.
+    """
+    config.validate()
+    model = _declare(config, InitTensors(substream(seed, "init")))
+    for blk in model.blocks:
+        attn, est = blk.attn, blk.attn.estimators
+        if est is not None:
+            spectral = init_estimators(attn.wq.data, attn.wk.data, attn.wv.data, config.hidden, est.rank, config.heads)
+            for f in fields(est):
+                getattr(est, f.name).data[...] = getattr(spectral, f.name).data
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -621,31 +644,49 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Array]]:
     return config, tensors
 
 
+class _FileTensors:
+    """Tensor source of a load: each declared tensor is the checkpoint's array of that name."""
+
+    def __init__(self, tensors: dict[str, Array]):
+        self.unused = tensors  # the file's tensors not declared so far
+        self.missing: list[str] = []
+        self.shape_error: str | None = None  # the first one, in declaration order
+
+    def take(self, name: str, shape: tuple[int, int], value: float | None = None) -> DenseMatrix:
+        arr = self.unused.pop(name, None)
+        if arr is None:
+            self.missing.append(name)
+        elif arr.shape != shape:
+            if self.shape_error is None:
+                self.shape_error = f"tensor {name!r} has shape {arr.shape}, model expects {shape}"
+        else:
+            return DenseMatrix(arr, name=name)
+        return DenseMatrix(np.empty((0, 0)), name=name)  # never used: load_model raises
+
+    drawn = filled = take  # a loaded tensor's init does not matter
+
+
 def load_model(path, **config_overrides) -> Model:
     """Build a model from a checkpoint, optionally overriding config fields.
 
-    The checkpoint's tensor inventory must exactly cover the target model's
-    named parameters (both directions checked, shapes included), so loading
-    a plain checkpoint into an estimator variant fails naming the missing
-    estimator tensors.
+    The model is the one declaration (``_declare``) with every tensor taken
+    from the file: the float64 arrays :func:`load_checkpoint` returns become
+    the parameters, and nothing is initialized (no random draw, no SVD, no
+    throw-away model).  The file's tensor inventory must exactly cover the
+    declaration (both directions checked, then shapes), so loading a plain
+    checkpoint into an estimator variant fails naming the missing estimator
+    tensors.
     """
     config, tensors = load_checkpoint(path)
     if config_overrides:
         config = ModelConfig.from_dict({**config.to_dict(), **config_overrides}).validate()
-    model = build_model(config, seed=0)
-    wanted = named_parameters(model)
-    wanted_names = [n for n, _ in wanted]
-    missing = sorted(set(wanted_names) - set(tensors))
-    extra = sorted(set(tensors) - set(wanted_names))
-    if missing or extra:
+    source = _FileTensors(tensors)
+    model = _declare(config, source)
+    if source.missing or source.unused:
         raise CheckpointMismatchError(
-            f"tensor inventory mismatch: missing {missing or 'none'}, unexpected {extra or 'none'}"
+            f"tensor inventory mismatch: missing {sorted(source.missing) or 'none'}, "
+            f"unexpected {sorted(source.unused) or 'none'}"
         )
-    for name, p in wanted:
-        arr = tensors[name]
-        if arr.shape != p.data.shape:
-            raise CheckpointMismatchError(
-                f"tensor {name!r} has shape {arr.shape}, model expects {p.data.shape}"
-            )
-        p.data[...] = arr
+    if source.shape_error:
+        raise CheckpointMismatchError(source.shape_error)
     return model

@@ -58,6 +58,15 @@ class ElasticQuant:
             name=name,
         )
 
+    @classmethod
+    def declare(cls, source, name: str, alpha: float = 1.0) -> "ElasticQuant":
+        """A model's binarizer: level and threshold (init ``alpha`` and 0) from a tensor source."""
+        return cls(
+            alpha=source.filled(f"{name}.alpha", (1, 1), float(alpha)),
+            beta=source.filled(f"{name}.beta", (1, 1), 0.0),
+            name=name,
+        )
+
 
 def _check_mode(mode: str) -> None:
     if mode not in ("hard", "relaxed"):

@@ -16,6 +16,7 @@ import pytest
 
 from bitformer.binattn import (
     AttentionLayerState,
+    InitTensors,
     ResidualEstimators,
     attention_forward,
     attention_forward_packed,
@@ -34,7 +35,8 @@ RNG = np.random.default_rng(3141)
 
 
 def small_layer(hidden=8, heads=2, rank=0, seed=0):
-    return make_attention_layer(np.random.default_rng(seed), hidden=hidden, heads=heads, rank=rank, seq_hint=8)
+    source = InitTensors(np.random.default_rng(seed))
+    return make_attention_layer(source, hidden=hidden, heads=heads, rank=rank, seq_hint=8)
 
 
 # --------------------------------------------------------------------------

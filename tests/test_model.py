@@ -13,7 +13,7 @@ inventory agrees with the cost-accounting formulas.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bitformer.binattn import init_estimators
 from bitformer.bitkernel import equivalent_flops
 from bitformer.model import (
     CheckpointChecksumError,
@@ -465,6 +466,94 @@ def test_loading_into_mismatched_architecture_names_the_tensors(tmp_path):
     # the estimator variant expects factor tensors the file does not carry
     with pytest.raises(CheckpointMismatchError, match="est"):
         load_model(path, variant="bipft_b", rank=2)
+
+
+def test_loading_estimators_into_a_plain_variant_lists_them_as_unexpected(tmp_path):
+    path = tmp_path / "m.bin"
+    model = build_model(tiny_config(variant="bipft_b", rank=2), seed=0)
+    save_checkpoint(path, model)
+    with pytest.raises(CheckpointMismatchError) as exc:
+        load_model(path, variant="bipft_a", rank=0)
+    est = sorted(n for n, _ in named_parameters(model) if ".est." in n)
+    assert str(exc.value) == f"tensor inventory mismatch: missing none, unexpected {est}"
+
+
+def test_loading_with_another_estimator_rank_names_the_tensor_and_both_shapes(tmp_path):
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, build_model(tiny_config(variant="bipft_b", rank=2), seed=0))
+    with pytest.raises(CheckpointMismatchError) as exc:
+        load_model(path, rank=3)
+    assert str(exc.value) == "tensor 'layer0.attn.est.w_q' has shape (8, 2), model expects (8, 3)"
+
+
+# Digests of build_model's init at the commit before load_model stopped
+# building a model; a declaration that draws in another order changes them.
+GOLDEN_CHECKPOINTS = {
+    ("bipft_a", 0): "34b087d406d921027bbab6711d453baa3396a1e2996a0c2ce9da8e402a6f35bd",
+    ("bipft_a", 3): "c154b11bb131282c64ce663a39267f44962fd343f9d3ab068da3094b4b57c06f",
+    ("twin", 0): "b40283d0259342853125b9a60f9cacf41b06f30378a4a6fea87b7caeb8ec9675",
+    ("twin", 3): "ad2b5cbd9b47b797a4f17b0dd1f33587c144d8e6ecb71acb4ddb1aa9cf849dc9",
+}
+GOLDEN_BIPFT_B_NON_EST = {
+    0: "4c3e069f3a36152a66e627e2eb1764f026be2fe8d7ce2f6e0178a4d49285a9a1",
+    3: "e14abf175523c72053fd35f9b463f0e17d7850d0dd7cc8e541e964b26ae8b235",
+}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(GOLDEN_CHECKPOINTS))
+def test_build_model_init_matches_golden_checkpoint_bytes(tmp_path, kind, seed):
+    cfg = tiny_config(full_precision=True) if kind == "twin" else tiny_config(variant=kind)
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, build_model(cfg, seed=seed))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINTS[kind, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_BIPFT_B_NON_EST))
+def test_build_model_estimator_variant_init_matches_golden_and_spectral_init(seed):
+    cfg = tiny_config(variant="bipft_b", rank=2)
+    model = build_model(cfg, seed=seed)
+    digest = hashlib.sha256()
+    for name, p in named_parameters(model):
+        if ".est." not in name:
+            digest.update(name.encode("utf-8"))
+            digest.update(p.data.astype("<f8").tobytes())
+    assert digest.hexdigest() == GOLDEN_BIPFT_B_NON_EST[seed]
+    for i, blk in enumerate(model.blocks):
+        attn = blk.attn
+        want = init_estimators(
+            attn.wq.data, attn.wk.data, attn.wv.data, cfg.hidden, cfg.rank, cfg.heads,
+            name=f"layer{i}.attn.est",
+        )
+        for field in fields(want):
+            got, ref = getattr(attn.estimators, field.name), getattr(want, field.name)
+            assert got.name == ref.name
+            assert np.array_equal(got.data, ref.data), ref.name
+
+
+@pytest.mark.parametrize(
+    "over", [dict(variant="bipft_a"), dict(variant="bipft_b", rank=2), dict(full_precision=True)]
+)
+def test_load_model_draws_nothing_and_adopts_the_file_arrays(tmp_path, monkeypatch, over):
+    path = tmp_path / "m.bin"
+    model = build_model(tiny_config(**over), seed=4)
+    save_checkpoint(path, model)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a load must not initialize")
+
+    monkeypatch.setattr("bitformer.model.substream", forbidden)
+    monkeypatch.setattr("numpy.linalg.svd", forbidden)
+    loaded = load_model(path)
+    monkeypatch.undo()
+
+    pairs = list(zip(named_parameters(model), named_parameters(loaded)))
+    assert len(pairs) == len(named_parameters(model)) == len(named_parameters(loaded))
+    for (n1, a), (n2, b) in pairs:
+        assert n1 == n2
+        assert np.array_equal(b.data, a.data.astype(np.float32).astype(np.float64)), n1
+        flags = b.data.flags
+        assert b.data.dtype == np.float64 and b.data.base is None, n1
+        assert flags.writeable and flags.c_contiguous and flags.owndata, n1
 
 
 # --------------------------------------------------------------------------
