@@ -1,7 +1,8 @@
 """bitformer: a desk-scale 1-bit transformer encoder.
 
 Weights and activations are constrained to two levels and multiplied with
-XNOR-popcount kernels at eval time; training simulates the same quantized
+XOR-popcount kernels at eval time (``dot = n - 2 * popcount(a XOR b)``, with
+zero padding bits and no mask); training simulates the same quantized
 values in float64 with straight-through surrogate gradients on an explicit
 tape.  Includes an MLM/NSP pretraining pipeline for toy corpora, optional
 distillation from a full-precision twin, and low-rank estimators of the

@@ -46,7 +46,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bitkernel import binary_gemm, pack_signs, ternary_binary_gemm
+from .bitkernel import PackedBitMatrix, binary_gemm, pack_signs, ternary_binary_gemm
 from .numerics import (
     Array,
     DenseMatrix,
@@ -71,6 +71,7 @@ from .quant import (
     binarize_attention_01,
     binarize_weight,
     prepare_weight,
+    row_blocks,
     weight_row_scales,
 )
 
@@ -385,10 +386,18 @@ def _pack_shifted(x: Array, q: ElasticQuant):
 
 
 def binary_linear_packed(a: Array, w: DenseMatrix, b: DenseMatrix, in_q: ElasticQuant) -> Array:
-    """Packed-kernel twin of :func:`binary_linear` (hard mode)."""
-    scales = _level(in_q) * weight_row_scales(w.data)
-    bits_w = pack_signs(w.data - w.data.mean(axis=1, keepdims=True))
-    return binary_gemm(_pack_shifted(a, in_q), bits_w, scales).data + b.data
+    """Packed-kernel twin of :func:`binary_linear` (hard mode).
+
+    The weight's centered sign bits and row scales are taken in one pass
+    over cache-sized row blocks.
+    """
+    words, scales = [], []
+    for rows in row_blocks(w.data):
+        block = w.data[rows]
+        scales.append(weight_row_scales(block))
+        words.append(pack_signs(block - block.mean(axis=1, keepdims=True)).words)
+    bits_w = PackedBitMatrix(w.rows, w.cols, np.concatenate(words))
+    return binary_gemm(_pack_shifted(a, in_q), bits_w, _level(in_q) * np.concatenate(scales)).data + b.data
 
 
 class SimOps:

@@ -1,12 +1,12 @@
-"""Bit-packed sign matrices, XNOR-popcount products, and cost accounting.
+"""Bit-packed sign matrices, XOR-popcount products, and cost accounting.
 
 Two-level values are stored one bit per element in 64-bit words (bit 1 means
 +1, bit 0 means -1; sign(0) = +1).  A {-1,+1} dot product of length ``n`` is
-then ``2 * popcount(XNOR(a, b) masked to n bits) - n``: XNOR sets a bit
-exactly where the factors agree, so matches minus mismatches is twice the
-match count minus the length.  Padding bits in the final word of each row are
-kept at zero and removed by the logical-length mask, so only the ``n``
-declared columns ever contribute.
+then ``n - 2 * popcount(a XOR b)``: XOR sets a bit exactly where the factors
+disagree, so matches minus mismatches is the length minus twice the mismatch
+count (the XNOR-Net form, arXiv 1603.05279).  Padding bits in the final word
+of each row are zero in every packed operand, so they XOR to zero and no NOT
+or length mask is needed: only the ``n`` declared columns ever contribute.
 
 A {0,1}-by-{-1,+1} product (binarized attention map times binarized values)
 runs the same ±1 accumulator loop: reading the selection bits as ±1 gives
@@ -14,14 +14,16 @@ runs the same ±1 accumulator loop: reading the selection bits as ±1 gives
 where ``ones . v`` costs one popcount per value row.  Both addends have the
 parity of ``n``, so the sum is even and the arithmetic shift is exact.
 
-Accumulators are exact int64 counts; a scale (scalar or per-output-column
-vector) is applied in a single rounding when reading out to float.
+Each row's word popcounts are summed by a float32 product with a ones vector.
+Every partial sum is an integer no larger than ``n``, so the sum is exact
+while ``n < 2**24``; wider operands are refused.  Accumulators are returned
+as exact int64 counts; a scale (scalar or per-output-column vector) is
+applied in a single rounding when reading out to float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,13 +31,20 @@ from .numerics import Array, DenseMatrix
 
 WORD_BITS = 64
 
-# cap intermediate XNOR buffers at ~16M words (128 MB) when tiling GEMMs
-_GEMM_BLOCK_WORDS = 1 << 24
+# float32 holds every integer below 2**24 exactly: the word-sum limit on columns
+_EXACT_COLS = 1 << 24
+
+# XOR tiles of about 64K words (512 KB) stay in cache
+_TILE_WORDS = 1 << 16
 
 
 @dataclass
 class PackedBitMatrix:
-    """Row-major sign bits: ``words[i, w]`` holds logical columns 64w .. 64w+63."""
+    """Row-major sign bits: ``words[i, w]`` holds logical columns 64w .. 64w+63.
+
+    The padding bits past ``cols`` in each row's last word are zero; the
+    kernels rely on it, and :func:`pack_signs` is what keeps it.
+    """
 
     rows: int
     cols: int
@@ -46,20 +55,6 @@ class PackedBitMatrix:
         return self.words.shape[1]
 
 
-@lru_cache(maxsize=None)
-def _length_mask(cols: int, words_per_row: int) -> Array:
-    """Per-word mask with 1s in exactly the first ``cols`` logical bits."""
-    if cols <= 0 or words_per_row * WORD_BITS < cols:
-        raise ValueError(f"bad logical length {cols} for {words_per_row} words")
-    mask = [(1 << WORD_BITS) - 1] * words_per_row
-    full, rem = divmod(cols, WORD_BITS)
-    for w in range(full + (1 if rem else 0), words_per_row):
-        mask[w] = 0
-    if rem:
-        mask[full] = (1 << rem) - 1
-    return np.array(mask, dtype=np.uint64)
-
-
 def pack_signs(x: Array) -> PackedBitMatrix:
     """Pack sign bits of a 2-D array; bit 1 where x >= 0 (so sign(0) = +1)."""
     x = np.asarray(x)
@@ -68,12 +63,8 @@ def pack_signs(x: Array) -> PackedBitMatrix:
     rows, cols = x.shape
     if cols == 0:
         raise ValueError("cannot pack zero columns")
-    bits = (x >= 0).astype(np.uint8)
-    pad = (-cols) % WORD_BITS
-    if pad:
-        bits = np.concatenate([bits, np.zeros((rows, pad), dtype=np.uint8)], axis=1)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = np.ascontiguousarray(packed).view("<u8")
+    words = np.zeros((rows, -(-cols // WORD_BITS)), dtype="<u8")
+    words.view(np.uint8)[:, : -(-cols // 8)] = np.packbits(x >= 0, axis=1, bitorder="little")
     return PackedBitMatrix(rows=rows, cols=cols, words=words)
 
 
@@ -85,18 +76,25 @@ def unpack_signs(p: PackedBitMatrix) -> Array:
 
 
 def _pm1_dots(a: PackedBitMatrix, b_t: PackedBitMatrix) -> Array:
-    """The one ±1 accumulator loop, tiled over rows of ``a`` to bound the XNOR buffer."""
+    """The one ±1 accumulator loop: ``cols - 2 * popcount(a XOR b)`` over cache-sized tiles.
+
+    A tile is a block of ``a`` rows against a block of ``b_t`` rows (all of
+    them unless one ``a`` row against all would exceed a tile).
+    """
     if a.cols != b_t.cols:
         raise ValueError(f"width mismatch: {a.cols} vs {b_t.cols} logical columns")
-    mask = _length_mask(a.cols, a.words_per_row)
-    bw = b_t.words & mask
+    if a.cols >= _EXACT_COLS:
+        raise ValueError(f"{a.cols} columns: the float32 word sum is exact only below 2**24")
+    per_row = a.words_per_row
+    ones = np.ones(per_row, dtype=np.float32)
     out = np.empty((a.rows, b_t.rows), dtype=np.int64)
-    block = max(1, _GEMM_BLOCK_WORDS // max(1, b_t.rows * a.words_per_row))
-    for lo in range(0, a.rows, block):
-        hi = min(a.rows, lo + block)
-        xnor = ~(a.words[lo:hi, None, :] ^ bw[None, :, :])
-        matches = np.bitwise_count(xnor & mask).sum(axis=2, dtype=np.int64)
-        out[lo:hi] = 2 * matches - a.cols
+    col_step = max(1, _TILE_WORDS // per_row)
+    row_step = max(1, _TILE_WORDS // (per_row * max(1, min(b_t.rows, col_step))))
+    for lo in range(0, a.rows, row_step):
+        for col in range(0, b_t.rows, col_step):
+            diff = a.words[lo : lo + row_step, None, :] ^ b_t.words[None, col : col + col_step, :]
+            mismatches = np.bitwise_count(diff).astype(np.float32) @ ones
+            out[lo : lo + row_step, col : col + col_step] = a.cols - 2 * mismatches
     return out
 
 
@@ -122,8 +120,7 @@ def ternary_accumulate(sel: PackedBitMatrix, v_t: PackedBitMatrix) -> Array:
     semantics with one arithmetic shift.
     """
     pm_dot = _pm1_dots(sel, v_t)
-    mask = _length_mask(sel.cols, sel.words_per_row)
-    ones_dot = 2 * np.bitwise_count(v_t.words & mask).sum(axis=1, dtype=np.int64) - sel.cols
+    ones_dot = 2 * np.bitwise_count(v_t.words).sum(axis=1, dtype=np.int64) - sel.cols
     return (pm_dot + ones_dot[None, :]) >> 1
 
 

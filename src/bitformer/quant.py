@@ -37,6 +37,9 @@ QuantMode = Literal["hard", "relaxed"]
 # smallest level the ±1 binarizer will apply; keeps alpha strictly positive
 ALPHA_FLOOR = 1e-6
 
+# row blocks of about 64K elements keep a block's float64 temporaries in cache
+_BLOCK_ELEMS = 1 << 16
+
 
 class QuantError(ValueError):
     """Invalid quantizer parameter (e.g. non-positive attention level)."""
@@ -105,6 +108,12 @@ class BinaryWeight:
     clipped: Array | None = None
 
 
+def row_blocks(x: Array) -> list[slice]:
+    """Row slices of a 2-D array, each about ``_BLOCK_ELEMS`` elements."""
+    step = max(1, _BLOCK_ELEMS // max(1, x.shape[1]))
+    return [slice(lo, lo + step) for lo in range(0, x.shape[0], step)]
+
+
 def prepare_weight(
     w: DenseMatrix, mode: QuantMode = "hard", taped: bool = True, transposed: bool = False
 ) -> BinaryWeight:
@@ -112,24 +121,35 @@ def prepare_weight(
 
     This is the forward half of :func:`binarize_weight`; ``taped`` keeps the
     state its backward needs.  ``mode="relaxed"`` holds the surrogate
-    ``(mean |row|) * hardtanh(row - mean(row))`` instead of the signs.
+    ``(mean |row|) * hardtanh(row - mean(row))`` instead of the signs.  Every
+    row is independent, so the work runs over cache-sized row blocks: the
+    centered values and levels of one block at a time, and the transposed
+    write as a copy of a finished block.
     """
     _check_mode(mode)
     data = w.data
-    centered = data - data.mean(axis=1, keepdims=True)
-    scales = np.abs(data).mean(axis=1, keepdims=True)
     # a transposed value is written straight into its (in, out) row-major buffer
     value = np.empty(data.shape[::-1]).T if transposed else np.empty(data.shape)
-    levels = _sign_pm1(centered) if mode == "hard" else np.clip(centered, -1.0, 1.0)
-    np.multiply(scales, levels, out=value)
-    del levels  # gone before the backward state is built
+    if taped:
+        scales = np.empty((data.shape[0], 1))
+        window = np.empty(data.shape, dtype=bool)
+        clipped = np.empty(data.shape)
+    for rows in row_blocks(data):
+        block = data[rows]
+        centered = block - block.mean(axis=1, keepdims=True)
+        block_scales = np.abs(block).mean(axis=1, keepdims=True)
+        levels = _sign_pm1(centered) if mode == "hard" else np.clip(centered, -1.0, 1.0)
+        levels *= block_scales
+        value[rows] = levels
+        if taped:
+            scales[rows] = block_scales
+            np.less_equal(np.abs(centered), 1.0, out=window[rows])
+            np.clip(centered, -1.0, 1.0, out=clipped[rows])
     if transposed:
         value = value.T
     if not taped:
         return BinaryWeight(w, value, transposed)
-    return BinaryWeight(
-        w, value, transposed, scales, np.abs(centered) <= 1.0, np.clip(centered, -1.0, 1.0)
-    )
+    return BinaryWeight(w, value, transposed, scales, window, clipped)
 
 
 def apply_weight(tape: Tape | None, bw: BinaryWeight) -> DenseMatrix:

@@ -104,6 +104,33 @@ def relative_error(got: np.ndarray, want: np.ndarray, floor: float = 1e-8) -> fl
     return float(np.max(np.abs(got - want) / denom))
 
 
+def whole_matrix_prepare_weight(
+    data: np.ndarray, mode: str = "hard", taped: bool = True, transposed: bool = False
+) -> tuple:
+    """The weight binarizer's forward over the whole matrix at once.
+
+    Returns ``(value, scales, window, clipped)`` as ``quant.prepare_weight``
+    computes them, per element the same expressions, but with whole-matrix
+    temporaries and one strided write of the transposed value; the backward
+    state is None when untaped.
+    """
+    centered = data - data.mean(axis=1, keepdims=True)
+    scales = np.abs(data).mean(axis=1, keepdims=True)
+    value = np.empty(data.shape[::-1]).T if transposed else np.empty(data.shape)
+    if mode == "hard":
+        levels = np.greater_equal(centered, 0.0).astype(np.float64)
+        levels *= 2.0
+        levels -= 1.0
+    else:
+        levels = np.clip(centered, -1.0, 1.0)
+    np.multiply(scales, levels, out=value)
+    if transposed:
+        value = value.T
+    if not taped:
+        return value, None, None, None
+    return value, scales, np.abs(centered) <= 1.0, np.clip(centered, -1.0, 1.0)
+
+
 def full_precision_encoder(
     params: dict[str, np.ndarray],
     layers: int,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bitformer import binattn, quant
 from bitformer.binattn import (
     AttentionLayerState,
     InitTensors,
@@ -26,8 +27,9 @@ from bitformer.binattn import (
     score_residual,
     zero_estimators,
 )
+from bitformer.bitkernel import pack_signs
 from bitformer.numerics import DenseMatrix, Tape
-from bitformer.quant import binarize_weight
+from bitformer.quant import ElasticQuant, binarize_weight, weight_row_scales
 
 from oracles import central_difference, estimator_factors, relative_error
 
@@ -279,3 +281,28 @@ def test_packed_attention_matches_float_simulation():
         sim = attention_forward(None, DenseMatrix(a), layer, key_mask=key_mask)
         packed = attention_forward_packed(a, layer, key_mask=key_mask)
         assert np.max(np.abs(sim.data - packed)) < 1e-8
+
+
+@pytest.mark.parametrize("block_elems", [None, 20])  # one block; blocks of 2 rows, the last ragged
+def test_packed_linear_weight_bits_and_scales_are_the_whole_matrix_ones(monkeypatch, block_elems):
+    if block_elems is not None:
+        monkeypatch.setattr(quant, "_BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(8)
+    w = DenseMatrix(rng.normal(size=(7, 10)))
+    w.data[3] = 0.0  # an all-zero row
+    in_q = ElasticQuant.create(alpha=0.7, beta=0.05)
+    seen = []
+    real_gemm = binattn.binary_gemm
+
+    def spy(a, b_t, scale):
+        seen.append((b_t, scale))
+        return real_gemm(a, b_t, scale)
+
+    monkeypatch.setattr(binattn, "binary_gemm", spy)
+    binattn.binary_linear_packed(rng.normal(size=(4, 10)), w, DenseMatrix(np.zeros((1, 7))), in_q)
+    (bits_w, scales), = seen
+    want_bits = pack_signs(w.data - w.data.mean(axis=1, keepdims=True))
+    assert (bits_w.rows, bits_w.cols) == (7, 10)
+    assert np.array_equal(bits_w.words, want_bits.words)
+    want_scales = 0.7 * weight_row_scales(w.data)
+    assert np.array_equal(scales.view(np.uint64), want_scales.view(np.uint64))

@@ -1,8 +1,8 @@
 """Packed-bit kernel tests: every fast path is checked against slow loops.
 
 The packed routines operate on 64-bit words; the oracles unpack to {-1,+1}
-(or {0,1}) integer vectors and accumulate in Python ints, so any masking or
-padding mistake in the kernels shows up as an exact integer mismatch.
+(or {0,1}) integer vectors and accumulate in Python ints, so any padding or
+tiling mistake in the kernels shows up as an exact integer mismatch.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitformer import bitkernel
 from bitformer.bitkernel import (
     PackedBitMatrix,
     binary_accumulate,
@@ -74,7 +75,7 @@ def test_pack_unpack_roundtrip(rows, cols, seed):
 
 
 # --------------------------------------------------------------------------
-# xnor-popcount dot: one-row operands of the packed accumulator
+# xor-popcount dot: one-row operands of the packed accumulator
 # --------------------------------------------------------------------------
 
 
@@ -85,7 +86,7 @@ def one_row_dot(x, y) -> int:
 
 
 def test_xnor_dot_small_known_value():
-    # (+1)(+1) + (-1)(+1) + (+1)(-1) = -1; popcount route: 2*1 - 3
+    # (+1)(+1) + (-1)(+1) + (+1)(-1) = -1; popcount route: 3 - 2*2
     assert one_row_dot(np.array([[1.0, -1.0, 1.0]]), np.array([[1.0, 1.0, -1.0]])) == -1
 
 
@@ -151,6 +152,34 @@ def test_binary_gemm_matches_loop_oracle(m, n, k, seed):
     for i in range(m):
         for j in range(n):
             assert got[i, j] == naive_sign_dot(a[i].astype(int), b[j].astype(int))
+
+
+def test_accumulator_refuses_widths_its_float32_word_sum_cannot_hold_exactly():
+    cols = 2**24
+    wide = PackedBitMatrix(rows=1, cols=cols, words=np.zeros((1, cols // 64), dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        binary_accumulate(wide, wide)
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        ternary_accumulate(wide, wide)
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("out_rows", [11, 3])  # several column tiles; one column tile, several row tiles
+def test_accumulators_match_loop_oracles_across_ragged_tiles(monkeypatch, width, out_rows):
+    # 8-word tiles: at one word per row, 11 output rows split 8 + 3 and 3
+    # output rows let 2 input rows share a tile (2, 2, 2, 1); wider rows
+    # split the output rows further
+    monkeypatch.setattr(bitkernel, "_TILE_WORDS", 8)
+    rng = np.random.default_rng(width * 100 + out_rows)
+    a = random_signs(rng, 7, width)
+    sel = random_bits01(rng, 7, width)
+    b = random_signs(rng, out_rows, width)
+    got = binary_accumulate(pack_signs(a), pack_signs(b))
+    got_sel = ternary_accumulate(pack_signs(sel * 2 - 1), pack_signs(b))
+    for i in range(7):
+        for j in range(out_rows):
+            assert got[i, j] == naive_sign_dot(a[i].astype(int), b[j].astype(int))
+            assert got_sel[i, j] == naive_ternary_dot(sel[i].astype(int), b[j].astype(int))
 
 
 # --------------------------------------------------------------------------

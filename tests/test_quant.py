@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitformer import quant
 from bitformer.bitkernel import binary_gemm, pack_signs
 from bitformer.numerics import DenseMatrix, Tape
 from bitformer.quant import (
@@ -28,7 +29,7 @@ from bitformer.quant import (
     weight_row_scales,
 )
 
-from oracles import central_difference, relative_error
+from oracles import central_difference, relative_error, whole_matrix_prepare_weight
 
 RNG = np.random.default_rng(77)
 FD_TOL = 1e-4
@@ -123,6 +124,44 @@ def test_transposed_weight_preparation_is_the_transpose_with_the_same_gradient(m
     g_t = weighted_sum(prepared, [w], coeffs.T)[0]
     g = weighted_sum(plain, [w], coeffs)[0]
     assert np.array_equal(g_t, g)
+
+
+def same_bits(got, want) -> bool:
+    """Bitwise equality of two float64 (or bool) arrays of the same shape."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    if got.dtype == np.float64:
+        got, want = got.view(np.uint64), want.view(np.uint64)
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", ["hard", "relaxed"])
+@pytest.mark.parametrize("taped", [True, False])
+@pytest.mark.parametrize("transposed", [True, False])
+@pytest.mark.parametrize(
+    "shape, block_elems",
+    [
+        ((23, 8), 50),  # blocks of 6 rows: 6, 6, 6 and a ragged 5
+        ((300, 768), None),  # the real block size at base width: 85, 85, 85 and 45 rows
+        ((1, 5), 1),  # one row wider than a block
+    ],
+)
+def test_row_blocked_weight_preparation_is_bitwise_the_whole_matrix_one(
+    monkeypatch, mode, taped, transposed, shape, block_elems
+):
+    if block_elems is not None:
+        monkeypatch.setattr(quant, "_BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(shape[0])
+    w = rng.normal(0.0, 0.7, size=shape)
+    w[shape[0] // 2] = 0.0  # an all-zero row: zero scale, every sign +1
+    got = prepare_weight(DenseMatrix(w), mode, taped, transposed)
+    want = whole_matrix_prepare_weight(w, mode, taped, transposed)
+    assert same_bits(got.value, want[0])
+    assert got.value.flags.c_contiguous
+    for field, expected in zip(("scales", "window", "clipped"), want[1:]):
+        if taped:
+            assert same_bits(getattr(got, field), expected), field
+        else:
+            assert getattr(got, field) is None
 
 
 def test_untaped_weight_preparation_refuses_a_tape():
