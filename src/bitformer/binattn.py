@@ -54,6 +54,7 @@ from .numerics import (
     add,
     add_bias,
     add_constant,
+    affine,
     concat_cols,
     matmul,
     scale,
@@ -464,7 +465,13 @@ class PackedOps(SimOps):
 
 
 class FullPrecisionOps(SimOps):
-    """The float twin: plain affine maps, every binarizer the identity."""
+    """The float twin: plain affine maps, every binarizer the identity.
+
+    Each ``linear`` is one :func:`~bitformer.numerics.affine`, taped or not,
+    so BLAS reads the (out, in) weight transposed in place instead of
+    copying it first.  The task heads keep that copy; see
+    :func:`bitformer.model._heads`.
+    """
 
     def attention(self, a, layer, key_mask) -> DenseMatrix:
         return attend(self, a, layer, key_mask)
@@ -473,7 +480,7 @@ class FullPrecisionOps(SimOps):
         return rows
 
     def linear(self, a, w, b, in_q=None) -> DenseMatrix:
-        return add_bias(self.tape, matmul(self.tape, a, transpose(self.tape, w)), b)
+        return affine(self.tape, a, w, b)
 
     def scores(self, q, k, q_bin, k_bin) -> DenseMatrix:
         return matmul(self.tape, q, transpose(self.tape, k))

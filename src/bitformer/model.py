@@ -72,9 +72,12 @@ from .numerics import (
     DenseMatrix,
     Tape,
     add,
+    add_bias,
     gather_rows,
     gelu,
     layer_norm,
+    matmul,
+    transpose,
 )
 from .quant import BinaryWeight, ElasticQuant, QuantMode, prepare_weight
 from .rng import substream
@@ -437,10 +440,20 @@ def _encode(model: Model, ops: SimOps, token_ids, segment_ids, pad_mask) -> list
 
 
 def _heads(tape: Tape | None, model: Model, x: DenseMatrix) -> tuple[DenseMatrix, DenseMatrix]:
-    """Full-precision task heads: per-token vocabulary logits, pair order from row 0."""
-    affine = FullPrecisionOps(tape).linear
-    mlm = affine(x, model.head.mlm_w, model.head.mlm_b)
-    nsp = affine(gather_rows(tape, x, np.array([0])), model.head.nsp_w, model.head.nsp_b)
+    """Full-precision task heads: per-token vocabulary logits, pair order from row 0.
+
+    Each head multiplies by a transposed copy of its weight rather than
+    reading it in place as :class:`~bitformer.binattn.FullPrecisionOps` does.
+    The heads run in every binary model's training, and OpenBLAS rounds
+    1-row and few-row products differently when it reads the weight in
+    place, so the copy keeps binary training bitwise what it was.
+    """
+
+    def head(h: DenseMatrix, w: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+        return add_bias(tape, matmul(tape, h, transpose(tape, w)), b)
+
+    mlm = head(x, model.head.mlm_w, model.head.mlm_b)
+    nsp = head(gather_rows(tape, x, np.array([0])), model.head.nsp_w, model.head.nsp_b)
     return mlm, nsp
 
 

@@ -370,7 +370,13 @@ def _check_labels(examples: Sequence[Example], n_classes: int) -> None:
 
 
 def _classifier_logits(tape, model, tokens, segs, weights, w, b, frozen=False):
-    """Head logits of the classifier row; a ``frozen`` body runs untaped."""
+    """Head logits of the classifier row; a ``frozen`` body runs untaped.
+
+    The head multiplies by a transposed copy of ``w`` (``transpose`` then
+    ``matmul``), not by :func:`~bitformer.numerics.affine`'s in-place read:
+    OpenBLAS rounds this 1-row product differently in the two forms, and the
+    copy keeps finetuning bitwise what it was.
+    """
     body_tape = None if frozen else tape
     last = encode(model, np.asarray(tokens), np.asarray(segs), tape=body_tape, weights=weights)[-1]
     cls = gather_rows(body_tape, last, np.array([0]))

@@ -25,6 +25,7 @@ from .numerics import (
     add,
     add_bias,
     add_constant,
+    affine,
     concat_cols,
     cross_entropy,
     gather_rows,
@@ -160,6 +161,7 @@ def _grad_case_ops(rng: np.random.Generator) -> float:
         h = add(tape, x0, x1)
         h = matmul(tape, h, transpose(tape, w))
         h = add_bias(tape, h, bias)
+        h = add(tape, h, affine(tape, x0, w, bias))
         h = layer_norm(tape, h, gamma, beta)
         h = gelu(tape, h)
         h = scale(tape, add_constant(tape, h, 0.1), 0.5)

@@ -1,11 +1,22 @@
-"""Shared pytest plumbing: the acceptance summary table.
+"""Shared pytest plumbing: the BLAS thread default and the acceptance table.
+
+The suite runs one BLAS thread unless the caller set ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``BITFORMER_THREADS``: its products are small, a
+second thread mostly waits, and the acceptance criteria print the same
+numbers either way.  This must run before numpy loads.
 
 Acceptance tests record one line per criterion; the hook prints the table
 after the run so the pass/fail status and measured numbers land in the
 terminal output even though pytest captures per-test stdout.
 """
 
+import os
+
 import pytest
+
+if "BITFORMER_THREADS" not in os.environ:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -8,12 +8,14 @@ perturbation 1e-5 with relative error < 1e-4.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitformer.binattn import FullPrecisionOps
 from bitformer.numerics import (
     AdamW,
     DenseMatrix,
@@ -21,6 +23,7 @@ from bitformer.numerics import (
     add,
     add_bias,
     add_constant,
+    affine,
     concat_cols,
     cross_entropy,
     gather_rows,
@@ -179,6 +182,41 @@ def test_structural_ops_forward_and_fd():
         lambda t, ps: as_scalar(t, matmul(t, slice_cols(t, ps[0], 0, 2), transpose(t, slice_cols(t, ps[0], 2, 4)))),
         [a.copy()],
     )
+
+
+def test_affine_forward_and_fd_for_input_weight_and_bias():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(3, 4))
+    w = rng.normal(size=(5, 4))
+    bias = rng.normal(size=(1, 5))
+    readout = DenseMatrix(rng.normal(size=(5, 1)))
+
+    out = affine(None, DenseMatrix(a), DenseMatrix(w), DenseMatrix(bias)).data
+    assert np.allclose(out, naive_matmul(a, w.T) + bias, rtol=1e-12, atol=1e-12)
+    fd_against_tape(
+        lambda t, ps: as_scalar(t, matmul(t, affine(t, *ps), readout)),
+        [a.copy(), w.copy(), bias.copy()],
+    )
+    with pytest.raises(ValueError):
+        affine(None, DenseMatrix(a), DenseMatrix(w.T), DenseMatrix(bias))
+    with pytest.raises(ValueError):
+        affine(None, DenseMatrix(a), DenseMatrix(w), DenseMatrix(bias.T))
+
+
+def test_untaped_full_precision_linear_makes_no_copy_of_its_weight():
+    rng = np.random.default_rng(12)
+    a = DenseMatrix(rng.normal(size=(4, 512)))
+    w = DenseMatrix(rng.normal(size=(2048, 512)))
+    b = DenseMatrix(rng.normal(size=(1, 2048)))
+    linear = FullPrecisionOps(None).linear
+    tracemalloc.start()
+    try:
+        out = linear(a, w, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.shape == (4, 2048)
+    assert peak < w.data.nbytes
 
 
 def test_concat_and_gather_roundtrip_with_gradients():
