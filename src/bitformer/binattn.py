@@ -369,12 +369,17 @@ def binary_linear(
 
     ``w_bin`` is ``w`` already prepared (transposed, in ``mode``, with
     backward state when taped), as :func:`bitformer.model.binarize_linears`
-    makes it once per optimizer step; without it ``w`` is binarized here.
+    makes it once per optimizer step: the product reads its shared node,
+    and :func:`~bitformer.quant.backward_weights` runs the binarizer
+    backward later.  Without it ``w`` is binarized here, with a backward on
+    this tape.
     """
     aq = binarize_activation_pm1(tape, a, in_q, mode)
     if w_bin is None:
-        w_bin = prepare_weight(w, mode, taped=tape is not None, transposed=True)
-    return add_bias(tape, matmul(tape, aq, apply_weight(tape, w_bin)), b)
+        w_b = apply_weight(tape, prepare_weight(w, mode, taped=tape is not None, transposed=True))
+    else:
+        w_b = w_bin.node
+    return add_bias(tape, matmul(tape, aq, w_b), b)
 
 
 def _level(q: ElasticQuant) -> float:

@@ -24,9 +24,11 @@ projections and the attention products:
 
 A training step changes the weights only at its optimizer update, so
 :func:`binarize_linears` binarizes every block linear weight once per step;
-the step's forwards take it as ``weights`` and each tape records only its
-own backward from the shared matrices.  Results are bitwise equal to
-binarizing per sequence.
+the step's forwards take it as ``weights``, and each tape adds its gradient
+into the shared matrices.  After the step's last tape and before its
+optimizer update (the backward reads ``sign(w.data)``),
+:func:`~bitformer.quant.backward_weights` runs one binarizer backward per
+weight on that sum.  Training stays deterministic for a given seed.
 
 Every trainable tensor is declared once, with its name, shape and init, in
 ``_declare`` (the attention layer's part in
@@ -461,10 +463,14 @@ def binarize_linears(model: Model, taped: bool = True) -> dict[DenseMatrix, Bina
     """Every block linear weight binarized once (hard mode), for one optimizer step.
 
     Pass the result as ``weights`` to :func:`forward` or :func:`encode`: each
-    sequence then applies these matrices on its own tape instead of
-    binarizing them again, with bitwise-equal results.  ``taped=False``
-    keeps no backward state, for untaped forwards.  It is valid until the
-    weights change.  A full-precision model binarizes nothing.
+    sequence then reads these matrices instead of binarizing them again, and
+    its tape adds its gradient into each one's shared node.  Once the last
+    tape has run, pass ``weights.values()`` to
+    :func:`~bitformer.quant.backward_weights` before the optimizer changes
+    the weights, whose signs it reads: one binarizer backward per weight
+    then reaches the latent weights.  ``taped=False`` keeps no backward state, for untaped
+    forwards.  It is valid until the weights change.  A full-precision model
+    binarizes nothing.
     """
     if model.config.full_precision:
         return {}

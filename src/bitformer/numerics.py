@@ -75,6 +75,10 @@ class Tape:
         if loss.data.shape != (1, 1):
             raise ValueError(f"backward needs a 1x1 loss, got {loss.data.shape}")
         loss.ensure_grad()[0, 0] += 1.0
+        self.replay()
+
+    def replay(self) -> None:
+        """Run every recorded closure, last-recorded first."""
         for _, fn in reversed(self.ops):
             fn()
 

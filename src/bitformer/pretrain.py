@@ -41,6 +41,7 @@ from .numerics import (
     scale,
     transpose,
 )
+from .quant import backward_weights
 from .rng import substream
 
 Array = np.ndarray
@@ -267,11 +268,13 @@ def pretrain_loop(
     gradients accumulate additively (each sequence's loss is pre-scaled by
     1/batch_size, so the step is a batch mean).  The block linear weights
     change only at the optimizer update, so they are binarized once per
-    step (:func:`~bitformer.model.binarize_linears`) and every sequence's
-    tape reads the same matrices; parameters, losses and logs are bitwise
-    equal to binarizing per sequence.  All randomness derives from named
-    substreams of ``seed``; two runs with equal arguments produce
-    bitwise-identical parameters and logs.
+    step (:func:`~bitformer.model.binarize_linears`): every sequence's tape
+    reads the same matrices and adds its gradient into them, and after the
+    batch's last tape the binarizer backward runs once per weight on that
+    sum (:func:`~bitformer.quant.backward_weights`), before the optimizer
+    update, since it reads the signs of the weights it updates.  All
+    randomness derives from named substreams of ``seed``; two runs with
+    equal arguments produce bitwise-identical parameters and logs.
     """
     if teacher is not None:
         if not teacher.config.full_precision:
@@ -325,6 +328,7 @@ def pretrain_loop(
                 hit += int((pred == labels[live]).sum())
 
             tape.backward(scale(tape, loss, 1.0 / n_rows))
+        backward_weights(weights.values())
         weights = tape = None  # drop this step's binarized weights before the next are built
 
         lr = linear_warmup_schedule(step + 1, steps, warmup_frac, peak_lr)
@@ -404,8 +408,10 @@ def finetune(
     untaped and only the head records a backward.  Otherwise gradients also
     flow into the body's latent parameters.  The block linear weights are
     binarized once per AdamW chunk and once for the evaluation pass
-    (:func:`~bitformer.model.binarize_linears`), not once per example;
-    results are bitwise equal to binarizing per example.
+    (:func:`~bitformer.model.binarize_linears`), not once per example; a
+    trained body's binarizer backward runs once per weight and chunk, on
+    the gradient its examples summed, before the optimizer update.  Results
+    are deterministic for a given seed.
     """
     _check_labels(train_examples, n_classes)
     _check_labels(eval_examples, n_classes)
@@ -432,6 +438,7 @@ def finetune(
                 )
                 loss = cross_entropy(tape, logits, np.array([label]))
                 tape.backward(scale(tape, loss, 1.0 / len(chunk)))
+            backward_weights(weights.values())
             weights = tape = None  # drop this chunk's binarized weights before the next are built
             opt.step()
             if not freeze_body:

@@ -6,8 +6,11 @@ Three binarizers cover the whole model:
   (sign(0) = +1), scale by the row's mean absolute value.  Each output row
   holds at most the two values ±scale.  It is ``prepare_weight`` (the
   forward, once per weight value) followed by ``apply_weight`` (one tape
-  node per use), so a training step can binarize each weight once and
-  share it across the tapes of its batch.
+  node per use, with its own backward).  A training step instead prepares
+  each weight once and lets every tape of its batch read the preparation's
+  shared ``node``, whose ``.grad`` sums every use; ``backward_weights`` then
+  runs the binarizer backward once per weight on that sum.  The backward is
+  linear in its incoming gradient, so this moves only the summation order.
 * ``binarize_activation_pm1`` — elastic two-level activations
   ``alpha * sign(a - beta)`` with a trainable level and threshold.
 * ``binarize_attention_01`` — post-softmax maps quantized to {0, alpha} by
@@ -25,7 +28,9 @@ differencing uses — while the backward closures are identical in both modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Literal
 
 import numpy as np
@@ -97,7 +102,10 @@ class BinaryWeight:
     ``transposed`` is set, as a linear layer multiplies by it.  The backward
     state is the row scales, the unit window on the centered values (a bool
     array) and those values clipped to [-1, 1]; an untaped preparation
-    carries none of it.  It stays valid while ``w.data`` is unchanged.
+    carries none of it.  ``node`` is ``value`` as one tape node shared by
+    every use: the gradients of all of them sum into its ``.grad`` until
+    :func:`backward_weights` carries that sum to ``w``.  It stays valid
+    while ``w.data`` is unchanged.
     """
 
     w: DenseMatrix
@@ -106,6 +114,10 @@ class BinaryWeight:
     scales: Array | None = None
     window: Array | None = None
     clipped: Array | None = None
+    node: DenseMatrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.node = DenseMatrix(self.value)
 
 
 def row_blocks(x: Array) -> list[slice]:
@@ -152,40 +164,64 @@ def prepare_weight(
     return BinaryWeight(w, value, transposed, scales, window, clipped)
 
 
-def apply_weight(tape: Tape | None, bw: BinaryWeight) -> DenseMatrix:
-    """The prepared matrix as a tape node whose backward reaches ``bw.w``.
+def _check_taped(bw: BinaryWeight) -> None:
+    if bw.window is None:
+        raise ValueError(f"weight {bw.w.name!r} was binarized without backward state")
 
-    The node shares ``bw.value``; each call records its own backward, so one
-    preparation serves every sequence of an optimizer step.  Backward is the
-    exact gradient of the declared surrogate: the sign path applies the unit
-    window to centered values (and subtracts its row mean, since the center
-    depends on every entry), the scale path contributes ``sign(w) / cols``
-    weighted by the clipped centered values.
+
+def _weight_backward(bw: BinaryWeight, g: Array | None) -> None:
+    """Add to ``bw.w.grad`` the surrogate gradient for ``g``, a gradient of ``bw.value``.
+
+    This is the exact gradient of the declared surrogate: the sign path
+    applies the unit window to centered values (and subtracts its row mean,
+    since the center depends on every entry), the scale path contributes
+    ``sign(w) / cols`` weighted by the clipped centered values.  It reads
+    ``sign(w.data)``, so it must run before the optimizer changes ``w``.
+    """
+    if g is None:
+        return
+    w = bw.w
+    # a private (out, in) row-major copy: the row reductions below keep
+    # their summation order, and the copy is scratch space
+    g = np.ascontiguousarray(g.T) if bw.transposed else g.copy()
+    dw = np.multiply(bw.scales, bw.window)
+    dw *= g  # through the sign
+    dw -= dw.mean(axis=1, keepdims=True)
+    g *= bw.clipped
+    through_scale = _sign_pm1(w.data)
+    through_scale *= g.sum(axis=1, keepdims=True) / w.cols
+    dw += through_scale
+    w.ensure_grad()[...] += dw
+
+
+def apply_weight(tape: Tape | None, bw: BinaryWeight) -> DenseMatrix:
+    """The prepared matrix as a tape node of its own whose backward reaches ``bw.w``.
+
+    The node shares ``bw.value`` and records the binarizer backward for this
+    one use; a per-use binarization (embedding rows, relaxed mode, a weight
+    with no preparation) takes this route.
     """
     out = DenseMatrix(bw.value)
     if tape is not None:
-        if bw.window is None:
-            raise ValueError(f"weight {bw.w.name!r} was binarized without backward state")
-        w = bw.w
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            # a private (out, in) row-major copy: the row reductions below keep
-            # their summation order, and the copy is scratch space
-            g = np.ascontiguousarray(g.T) if bw.transposed else g.copy()
-            dw = np.multiply(bw.scales, bw.window)
-            dw *= g  # through the sign
-            dw -= dw.mean(axis=1, keepdims=True)
-            g *= bw.clipped
-            through_scale = _sign_pm1(w.data)
-            through_scale *= g.sum(axis=1, keepdims=True) / w.cols
-            dw += through_scale
-            w.ensure_grad()[...] += dw
-
-        tape.record("binarize_weight", bwd)
+        _check_taped(bw)
+        tape.record("binarize_weight", lambda: _weight_backward(bw, out.grad))
     return out
+
+
+def backward_weights(weights: Iterable[BinaryWeight]) -> None:
+    """The binarizer backward once per prepared weight, on the gradient its ``node`` summed.
+
+    Run it after the last tape that read the nodes and before the optimizer
+    update: the backward reads ``sign(w.data)``.  Each weight's backward is
+    recorded as one ``binarize_weight`` op on a fresh tape, which is then
+    replayed; a node no tape reached is skipped.
+    """
+    tape = Tape()
+    for bw in weights:
+        if bw.node.grad is not None:
+            _check_taped(bw)
+            tape.record("binarize_weight", partial(_weight_backward, bw, bw.node.grad))
+    tape.replay()
 
 
 def binarize_weight(tape: Tape | None, w: DenseMatrix, mode: QuantMode = "hard") -> DenseMatrix:

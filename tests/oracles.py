@@ -5,10 +5,13 @@ formulas) on purpose: these functions are the second route that the fast
 library code is checked against, so they must not share code with it.
 The two reference training loops are the exception: they are built from the
 library's own forward, losses and optimizer, and differ from
-``pretrain_loop`` and ``finetune`` only in binarizing every weight afresh
-for each sequence, so they check the per-step weight binarization, not the
-math.  ``estimator_factors`` is plain test plumbing shared by two test
-modules.
+``pretrain_loop`` and ``finetune`` in the bookkeeping of the block linear
+weights: every sequence binarizes them afresh, the gradient each sequence
+leaves on a binarized matrix is added into a running sum in sequence order,
+and the binarizer backward then runs once per weight on that sum, through
+the per-use closure of ``quant.apply_weight``.  They check the per-step
+weight binarization and its deferred backward, not the math.
+``estimator_factors`` is plain test plumbing shared by two test modules.
 """
 
 from __future__ import annotations
@@ -192,6 +195,27 @@ def estimator_factors(est) -> list:
     return [getattr(est, f.name) for f in fields(est)]
 
 
+def _add_binarized_grads(sums: dict, weights: dict) -> None:
+    """Add each binarized matrix's gradient into its running sum (zeros at first)."""
+    for w, bw in weights.items():
+        if w not in sums:
+            sums[w] = (bw, np.zeros(bw.value.shape))
+        sums[w][1][...] += bw.node.grad
+
+
+def _binarizer_backward_once(sums: dict) -> None:
+    """One per-use binarizer backward per weight, fed its summed gradient."""
+    from bitformer.numerics import Tape
+    from bitformer.quant import apply_weight
+
+    tape = Tape()
+    for bw, total in sums.values():
+        apply_weight(tape, bw).grad = total
+    for _, fn in tape.ops:
+        fn()
+    sums.clear()
+
+
 def per_sequence_pretrain(
     model,
     corpus,
@@ -205,13 +229,14 @@ def per_sequence_pretrain(
     weight_decay: float = 0.01,
     temperature: float = 1.0,
 ) -> list[str]:
-    """``pretrain_loop`` with one tape and one full forward per sequence; returns the log lines.
+    """``pretrain_loop`` with the block weights binarized afresh per sequence; returns the log lines.
 
     Same substreams, batches, loss terms, accumulation order, AdamW update
-    and level projection; no forward receives prepared weights.
+    and level projection; the binarized matrices' gradients are summed here
+    and the binarizer backward runs once per step, before the update.
     """
     from bitformer.data import IGNORE_LABEL, assemble_nsp_batch, make_nsp_pairs, mask_tokens
-    from bitformer.model import forward, named_parameters
+    from bitformer.model import binarize_linears, forward, named_parameters
     from bitformer.numerics import AdamW, Tape, cross_entropy, linear_warmup_schedule, scale
     from bitformer.pretrain import (
         StepMetrics,
@@ -231,13 +256,15 @@ def per_sequence_pretrain(
         batch = mask_tokens(batch, len(corpus.vocab), rng_mask)
         opt.zero_grad()
         sums = [0.0, 0.0, 0.0, 0.0]
+        binarized = {}
         hit = masked = 0
         for row in range(batch_size):
             keep = batch.pad_mask[row]
             tokens, segs = batch.token_ids[row, keep], batch.segment_ids[row, keep]
             labels = batch.mlm_labels[row, keep]
             tape = Tape()
-            res = forward(model, tokens, segs, tape=tape)
+            weights = binarize_linears(model)
+            res = forward(model, tokens, segs, tape=tape, weights=weights)
             l_mlm = cross_entropy(tape, res.mlm_logits, labels)
             l_nsp = cross_entropy(tape, res.nsp_logits, batch.nsp_labels[row : row + 1])
             terms = [l_mlm, l_nsp]
@@ -254,6 +281,8 @@ def per_sequence_pretrain(
             masked += int(live.sum())
             hit += int((res.mlm_logits.data[live].argmax(axis=1) == labels[live]).sum())
             tape.backward(scale(tape, loss, 1.0 / batch_size))
+            _add_binarized_grads(binarized, weights)
+        _binarizer_backward_once(binarized)
         lr = linear_warmup_schedule(step + 1, steps, warmup_frac, peak_lr)
         opt.step(lr=lr)
         project_binarizer_levels(model)
@@ -266,11 +295,12 @@ def per_sequence_pretrain(
 def per_example_finetune(
     model, train, evals, *, epochs: int, lr: float, batch_size: int, seed: int, n_classes: int = 2
 ):
-    """``finetune`` (body trained) with one tape and one full forward per example.
+    """``finetune`` (body trained) with the block weights binarized afresh per example.
 
-    Returns (accuracy, head weight, head bias).
+    The binarized matrices' gradients are summed here and the binarizer
+    backward runs once per chunk.  Returns (accuracy, head weight, head bias).
     """
-    from bitformer.model import encode, named_parameters
+    from bitformer.model import binarize_linears, encode, named_parameters
     from bitformer.numerics import (
         AdamW,
         DenseMatrix,
@@ -291,8 +321,8 @@ def per_example_finetune(
     opt = AdamW([head_w, head_b] + [p for _, p in named_parameters(model)], lr=lr)
     order_rng = substream(seed, "finetune-order")
 
-    def logits(tape, tokens, segs):
-        last = encode(model, np.asarray(tokens), np.asarray(segs), tape=tape)[-1]
+    def logits(tape, tokens, segs, weights=None):
+        last = encode(model, np.asarray(tokens), np.asarray(segs), tape=tape, weights=weights)[-1]
         cls = gather_rows(tape, last, np.array([0]))
         return add(tape, matmul(tape, cls, transpose(tape, head_w)), head_b)
 
@@ -301,11 +331,15 @@ def per_example_finetune(
         for start in range(0, len(order), batch_size):
             chunk = order[start : start + batch_size]
             opt.zero_grad()
+            binarized = {}
             for idx in chunk:
                 (tokens, segs), label = train[int(idx)]
                 tape = Tape()
-                loss = cross_entropy(tape, logits(tape, tokens, segs), np.array([label]))
+                weights = binarize_linears(model)
+                loss = cross_entropy(tape, logits(tape, tokens, segs, weights), np.array([label]))
                 tape.backward(scale(tape, loss, 1.0 / len(chunk)))
+                _add_binarized_grads(binarized, weights)
+            _binarizer_backward_once(binarized)
             opt.step()
             project_binarizer_levels(model)
     correct = sum(

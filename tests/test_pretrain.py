@@ -6,8 +6,10 @@ KL term, textbook mean-square error for the hidden-state term) and their
 backward closures against central finite differences.  The loop tests pin the
 metric-line format, seed determinism down to bitwise parameter equality, the
 zero-step no-op, and the non-finite abort diagnostic.  Binarizing the block
-weights once per optimizer step is checked bitwise against reference loops
-that binarize per sequence.
+weights once per optimizer step, with one deferred binarizer backward per
+weight, is checked bitwise against reference loops that binarize per
+sequence and sum the binarized matrices' gradients themselves, and against
+the per-sequence binarizer backward to round-off.
 """
 
 from __future__ import annotations
@@ -335,6 +337,93 @@ def test_each_block_linear_is_binarized_once_per_step(monkeypatch):
     pretrain_loop(model, corpus, steps=1, batch_size=4, seed=3)
     assert len(linears) == 6 * model.config.layers
     assert sorted(n for n in prepared if n in linears) == sorted(linears)
+
+
+def block_linears(model):
+    return [
+        w
+        for blk in model.blocks
+        for w in (blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo, blk.ffn.w1, blk.ffn.w2)
+    ]
+
+
+def test_deferred_binarizer_backward_moves_only_rounding(monkeypatch):
+    """One smoke batch's gradients: one binarizer backward per step vs one per sequence."""
+    from bitformer import numerics, pretrain
+
+    corpus = parse_corpus(generate_toy_corpus(seed=1))
+    cfg = ModelConfig(layers=2, hidden=128, heads=4, ffn=256, max_seq=64, vocab=len(corpus.vocab))
+
+    def step_grads(per_sequence: bool):
+        if per_sequence:  # every forward without prepared weights binarizes on its own tape
+            monkeypatch.setattr(pretrain, "binarize_linears", lambda model, taped=True: {})
+        grads = {}
+
+        def capture(opt, lr=None):
+            for p in opt.params:
+                grads[p.name] = None if p.grad is None else p.grad.copy()
+
+        monkeypatch.setattr(numerics.AdamW, "step", capture)
+        model = build_model(cfg.validate(), seed=0)
+        pretrain_loop(model, corpus, steps=1, batch_size=32, seed=0, peak_lr=3e-3)
+        monkeypatch.undo()
+        return grads
+
+    deferred, per_sequence = step_grads(False), step_grads(True)
+    assert deferred.keys() == per_sequence.keys()
+    for name, want in per_sequence.items():
+        got = deferred[name]
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+
+
+def count_weight_backwards(monkeypatch, linears):
+    """Binarizer backward runs: per block linear weight (by name), and all other ones."""
+    from bitformer import quant
+
+    counts = {"other": 0}
+    real = quant._weight_backward
+
+    def counting(bw, g):
+        key = bw.w.name if any(bw.w is w for w in linears) else "other"
+        counts[key] = counts.get(key, 0) + 1
+        return real(bw, g)
+
+    monkeypatch.setattr(quant, "_weight_backward", counting)
+    return counts
+
+
+def test_pretrain_runs_each_block_weight_backward_once_per_step(monkeypatch):
+    corpus = toy_corpus()
+    model = build_model(tiny_config(len(corpus.vocab)), seed=2)
+    linears = block_linears(model)
+    counts = count_weight_backwards(monkeypatch, linears)
+    recorded = []
+    real_record = Tape.record
+
+    def record(tape, name, fn):
+        recorded.append(name)
+        real_record(tape, name, fn)
+
+    monkeypatch.setattr(Tape, "record", record)
+    pretrain_loop(model, corpus, steps=2, batch_size=3, seed=3)
+    # each block weight once per step; the three embedding binarizations once per sequence
+    assert counts == {"other": 2 * 3 * 3, **{w.name: 2 for w in linears}}
+    assert recorded.count("binarize_weight") == 2 * (len(linears) + 3 * 3)
+
+
+def test_finetune_runs_each_block_weight_backward_once_per_chunk(monkeypatch):
+    corpus = toy_corpus()
+    data = encoded_task(corpus.vocab, seed=8, count=26)
+    model = build_model(tiny_config(len(corpus.vocab)), seed=1)
+    linears = block_linears(model)
+    counts = count_weight_backwards(monkeypatch, linears)
+    finetune(model, data[:20], data[20:], epochs=1, n_classes=2, seed=4, lr=1e-3, freeze_body=True)
+    assert counts == {"other": 0}
+    finetune(model, data[:20], data[20:], epochs=2, n_classes=2, seed=4, lr=1e-3, batch_size=8)
+    # 2 epochs of 3 chunks (8 + 8 + 4 examples); evaluation runs untaped
+    assert counts == {"other": 2 * 20 * 3, **{w.name: 2 * 3 for w in linears}}
 
 
 # --------------------------------------------------------------------------
