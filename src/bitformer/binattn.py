@@ -22,10 +22,12 @@ paths model what weight binarization throws away:
 
 The layer is defined once, in :func:`attend`, over an op set that supplies
 only what differs between routes: the embedding-table binarizer (``embed``),
-the projections (``linear``), one head's ``scores`` product, the ``select``
-step that binarizes the attention map, and the value ``mix``.  Everything
-else (slices, softmax, estimator paths, norms) is the same ``numerics`` ops in
-every route.  There are three op sets:
+the projections (``linear``), the ``scores`` product, the ``select`` step
+that binarizes the attention maps, and the value ``mix``.  All heads of a
+layer run together, as (heads, positions, head width) stacks, each head with
+its own binarizers.  Everything else (head splits, softmax, estimator paths,
+norms) is the same ``numerics`` ops in every route.  There are three op
+sets:
 
 * :class:`SimOps` — float simulation, taped or not, hard or relaxed; what
   training runs (``attention_forward``).
@@ -54,12 +56,14 @@ from .numerics import (
     add,
     add_bias,
     add_constant,
+    add_slices,
     affine,
-    concat_cols,
     matmul,
+    merge_heads,
     scale,
     slice_cols,
     softmax_rows,
+    split_heads,
     transpose,
 )
 from .quant import (
@@ -430,16 +434,17 @@ class SimOps:
     def linear(self, a, w, b, in_q) -> DenseMatrix:
         return binary_linear(self.tape, a, w, b, in_q, self.mode, self.weights.get(w))
 
-    def scores(self, q, k, q_bin: ElasticQuant, k_bin: ElasticQuant) -> DenseMatrix:
-        qb = binarize_activation_pm1(self.tape, q, q_bin, self.mode)
-        kb = binarize_activation_pm1(self.tape, k, k_bin, self.mode)
+    def scores(self, q, k, q_bins, k_bins) -> DenseMatrix:
+        """Per-head query/key products of the (heads, n, head width) stacks ``q`` and ``k``."""
+        qb = binarize_activation_pm1(self.tape, q, q_bins, self.mode)
+        kb = binarize_activation_pm1(self.tape, k, k_bins, self.mode)
         return matmul(self.tape, qb, transpose(self.tape, kb))
 
-    def select(self, att, att_bin: ElasticQuant, key_mask) -> DenseMatrix:
-        return binarize_attention_01(self.tape, att, att_bin, self.mode, key_mask)
+    def select(self, att, att_bins, key_mask) -> DenseMatrix:
+        return binarize_attention_01(self.tape, att, att_bins, self.mode, key_mask)
 
-    def mix(self, sel, v, v_bin: ElasticQuant, att_bin: ElasticQuant) -> DenseMatrix:
-        return matmul(self.tape, sel, binarize_activation_pm1(self.tape, v, v_bin, self.mode))
+    def mix(self, sel, v, v_bins, att_bins) -> DenseMatrix:
+        return matmul(self.tape, sel, binarize_activation_pm1(self.tape, v, v_bins, self.mode))
 
 
 class PackedOps(SimOps):
@@ -449,7 +454,8 @@ class PackedOps(SimOps):
     activation lands exactly on a sign threshold (possible at the
     all-zero-threshold init, where some activations are exact ±1-lattice
     cancellations), the integer accumulator and float summation may resolve
-    its sign differently.
+    its sign differently.  ``scores`` and ``mix`` run the packed product of
+    one head at a time and return the stack of the heads' results.
     """
 
     def attention(self, a, layer, key_mask) -> DenseMatrix:
@@ -458,15 +464,25 @@ class PackedOps(SimOps):
     def linear(self, a, w, b, in_q) -> DenseMatrix:
         return DenseMatrix(binary_linear_packed(a.data, w, b, in_q))
 
-    def scores(self, q, k, q_bin, k_bin) -> DenseMatrix:
-        return binary_gemm(
-            _pack_shifted(q.data, q_bin), _pack_shifted(k.data, k_bin), _level(q_bin) * _level(k_bin)
+    def scores(self, q, k, q_bins, k_bins) -> DenseMatrix:
+        return DenseMatrix(
+            [
+                binary_gemm(_pack_shifted(qh, qb), _pack_shifted(kh, kb), _level(qb) * _level(kb)).data
+                for qh, kh, qb, kb in zip(q.data, k.data, q_bins, k_bins)
+            ]
         )
 
-    def mix(self, sel, v, v_bin, att_bin) -> DenseMatrix:
-        bits_sel = pack_signs(np.where(sel.data != 0.0, 1.0, -1.0))
-        bits_v = _pack_shifted(v.data.T, v_bin)  # gemm wants value rows as output columns
-        return ternary_binary_gemm(bits_sel, bits_v, float(att_bin.alpha.data[0, 0]) * _level(v_bin))
+    def mix(self, sel, v, v_bins, att_bins) -> DenseMatrix:
+        return DenseMatrix(
+            [
+                ternary_binary_gemm(
+                    pack_signs(np.where(sh != 0.0, 1.0, -1.0)),
+                    _pack_shifted(vh.T, vb),  # gemm wants value rows as output columns
+                    float(ab.alpha.data[0, 0]) * _level(vb),
+                ).data
+                for sh, vh, vb, ab in zip(sel.data, v.data, v_bins, att_bins)
+            ]
+        )
 
 
 class FullPrecisionOps(SimOps):
@@ -487,22 +503,14 @@ class FullPrecisionOps(SimOps):
     def linear(self, a, w, b, in_q=None) -> DenseMatrix:
         return affine(self.tape, a, w, b)
 
-    def scores(self, q, k, q_bin, k_bin) -> DenseMatrix:
+    def scores(self, q, k, q_bins, k_bins) -> DenseMatrix:
         return matmul(self.tape, q, transpose(self.tape, k))
 
-    def select(self, att, att_bin, key_mask):
+    def select(self, att, att_bins, key_mask):
         return att  # padded keys already hold exactly zero softmax mass
 
-    def mix(self, sel, v, v_bin, att_bin) -> DenseMatrix:
+    def mix(self, sel, v, v_bins, att_bins) -> DenseMatrix:
         return matmul(self.tape, sel, v)
-
-
-def _score_blocks(layer: AttentionLayerState) -> list[tuple[int, int] | None]:
-    """Each head's score-estimator column block, None where it gets no correction."""
-    est = layer.estimators
-    if est is None:
-        return [None] * layer.heads
-    return [(lo, hi) if lo < hi else None for lo, hi in head_rank_blocks(est.rank, layer.heads)]
 
 
 def attend(
@@ -514,52 +522,49 @@ def attend(
 ) -> DenseMatrix:
     """One attention layer over one sequence (rows = positions), in any op set.
 
-    ``key_mask`` marks real key positions with True; padded keys take a
-    large negative score bias and are never selected.  ``trace``, when a
-    dict, receives per-head soft maps ("att") and selections
-    ("att_selected").
+    Queries, keys and values are split once into (heads, n, head width)
+    stacks, and each step after that (scores, scaling, pad bias, softmax,
+    selection, value mix) is one op over every head, each head reading its
+    own binarizers.  The score-estimator corrections are computed per head,
+    since the heads' rank blocks can differ in width, and enter the stacked
+    scores through one op.  ``key_mask`` marks real key positions with True;
+    padded keys take a large negative score bias and are never selected.
+    ``trace``, when a dict, receives per-head lists of soft maps ("att") and
+    selections ("att_selected").
     """
     tape = ops.tape
-    dk = layer.head_width
-    inv = 1.0 / math.sqrt(dk)
+    heads = layer.heads
+    inv = 1.0 / math.sqrt(layer.head_width)
     est = layer.estimators
 
     q = ops.linear(a, layer.wq, layer.bq, layer.in_q)
     k = ops.linear(a, layer.wk, layer.bk, layer.in_k)
     v = ops.linear(a, layer.wv, layer.bv, layer.in_v)
-
-    kq_blocks = _score_blocks(layer)
     if est is not None:
         au = matmul(tape, a, est.u_v_star)
         vt_star = transpose(tape, est.v_v_star)
-    pad_bias = None if key_mask is None else np.where(key_mask, 0.0, PAD_SCORE_BIAS)
+
+    q, k, v = (split_heads(tape, x, heads) for x in (q, k, v))
+    scores = ops.scores(q, k, layer.head_q, layer.head_k)
+    if est is not None:
+        blocks = head_rank_blocks(est.rank, heads)
+        corrections = [score_residual(tape, a, est, (lo, hi)) if lo < hi else None for lo, hi in blocks]
+        scores = add_slices(tape, scores, corrections)
+    scores = scale(tape, scores, inv)
+    if key_mask is not None:
+        scores = add_constant(tape, scores, np.where(key_mask, 0.0, PAD_SCORE_BIAS))
+
+    att = softmax_rows(tape, scores)
+    sel = ops.select(att, layer.head_att, key_mask)
+    ctx = ops.mix(sel, v, layer.head_v, layer.head_att)
+    if est is not None:
+        ctx = add(tape, ctx, matmul(tape, matmul(tape, sel, au), split_heads(tape, vt_star, heads)))
 
     if trace is not None:
-        trace["att"], trace["att_selected"] = [], []
+        trace["att"] = list(att.data.copy())
+        trace["att_selected"] = list((sel.data != 0.0).astype(np.float64))
 
-    ctx_parts: list[DenseMatrix] = []
-    for h in range(layer.heads):
-        lo, hi = h * dk, (h + 1) * dk
-        q_h, k_h = slice_cols(tape, q, lo, hi), slice_cols(tape, k, lo, hi)
-        scores = ops.scores(q_h, k_h, layer.head_q[h], layer.head_k[h])
-        if kq_blocks[h] is not None:
-            scores = add(tape, scores, score_residual(tape, a, est, kq_blocks[h]))
-        scores = scale(tape, scores, inv)
-        if pad_bias is not None:
-            scores = add_constant(tape, scores, pad_bias)
-
-        att = softmax_rows(tape, scores)
-        sel = ops.select(att, layer.head_att[h], key_mask)
-        ctx = ops.mix(sel, slice_cols(tape, v, lo, hi), layer.head_v[h], layer.head_att[h])
-        if est is not None:
-            ctx = add(tape, ctx, matmul(tape, matmul(tape, sel, au), slice_cols(tape, vt_star, lo, hi)))
-        ctx_parts.append(ctx)
-
-        if trace is not None:
-            trace["att"].append(att.data.copy())
-            trace["att_selected"].append((sel.data != 0.0).astype(np.float64))
-
-    return ops.linear(concat_cols(tape, ctx_parts), layer.wo, layer.bo, layer.in_o)
+    return ops.linear(merge_heads(tape, ctx), layer.wo, layer.bo, layer.in_o)
 
 
 def attention_forward(

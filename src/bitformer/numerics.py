@@ -1,12 +1,16 @@
 """Double-precision matrices and a replayable reverse-mode gradient tape.
 
-All training math runs on 2-D float64 arrays.  Differentiable operations are
-free functions that compute the forward with numpy and append one backward
+All training math runs on float64 arrays: 2-D matrices, and 3-D stacks of
+them (one slice per attention head).  Differentiable operations are free
+functions that compute the forward with numpy and append one backward
 closure to a :class:`Tape`; ``Tape.backward`` replays the closures in exact
 reverse order of recording, accumulating into per-matrix ``.grad`` buffers.
 The tape is deliberately explicit (no operator overloading, no graph capture)
 so that quantizer ops can register hand-written surrogate gradients as
-ordinary closures next to everything else.
+ordinary closures next to everything else.  ``matmul``, ``transpose`` and
+``softmax_rows`` act on the last two axes, so a stack runs as one op;
+``split_heads`` and ``merge_heads`` move between a matrix's column blocks and
+a stack.
 
 Passing ``tape=None`` runs any op forward-only, which is what inference and
 the packed-kernel comparisons use.
@@ -22,29 +26,30 @@ Array = np.ndarray
 
 
 class DenseMatrix:
-    """A 2-D float64 array with a lazily allocated gradient buffer.
+    """A float64 matrix (2-D) or stack of matrices (3-D) with a lazily allocated gradient buffer.
 
-    Gradients accumulate additively across backward passes and are cleared
-    only by an explicit :meth:`zero_grad`.
+    ``rows`` and ``cols`` are the last two axes.  Gradients accumulate
+    additively across backward passes and are cleared only by an explicit
+    :meth:`zero_grad`.
     """
 
     __slots__ = ("data", "grad", "name")
 
     def __init__(self, data, name: str = ""):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"DenseMatrix must be 2-D, got shape {arr.shape}")
+        if arr.ndim not in (2, 3):
+            raise ValueError(f"DenseMatrix must be 2-D or 3-D, got shape {arr.shape}")
         self.data: Array = np.ascontiguousarray(arr)
         self.grad: Array | None = None
         self.name = name
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
     def ensure_grad(self) -> Array:
         if self.grad is None:
@@ -56,7 +61,7 @@ class DenseMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.name!r}" if self.name else ""
-        return f"DenseMatrix{tag}({self.rows}x{self.cols})"
+        return f"DenseMatrix{tag}({'x'.join(map(str, self.data.shape))})"
 
 
 class Tape:
@@ -88,8 +93,26 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 
+def _accumulate(x: DenseMatrix, g: Array) -> None:
+    """``x.grad += g``; a 2-D ``x`` broadcast over a stacked ``g`` takes it one slice at a time.
+
+    The slices are added last first, the order in which one tape op per
+    slice would have run their backward closures.
+    """
+    grad = x.ensure_grad()
+    if g.ndim == grad.ndim:
+        grad += g
+    else:
+        for part in g[::-1]:
+            grad += part
+
+
 def matmul(tape: Tape | None, a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """a (m, k) @ b (k, n) -> (m, n); dA = dC @ B^T, dB = A^T @ dC."""
+    """a (m, k) @ b (k, n) -> (m, n), slice by slice over a stack; dA = dC @ B^T, dB = A^T @ dC.
+
+    Either operand may be a stack, and a 2-D operand is broadcast over the
+    other's slices.
+    """
     if a.cols != b.rows:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     out = DenseMatrix(a.data @ b.data)
@@ -99,8 +122,8 @@ def matmul(tape: Tape | None, a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
             g = out.grad
             if g is None:
                 return
-            a.ensure_grad()[...] += g @ b.data.T
-            b.ensure_grad()[...] += a.data.T @ g
+            _accumulate(a, g @ b.data.swapaxes(-1, -2))
+            _accumulate(b, a.data.swapaxes(-1, -2) @ g)
 
         tape.record("matmul", bwd)
     return out
@@ -133,14 +156,15 @@ def affine(tape: Tape | None, a: DenseMatrix, w: DenseMatrix, bias: DenseMatrix)
 
 
 def transpose(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
-    out = DenseMatrix(a.data.T)
+    """Swap the last two axes (each slice of a stack is transposed)."""
+    out = DenseMatrix(a.data.swapaxes(-1, -2))
     if tape is not None:
 
         def bwd():
             g = out.grad
             if g is None:
                 return
-            a.ensure_grad()[...] += g.T
+            a.ensure_grad()[...] += g.swapaxes(-1, -2)
 
         tape.record("transpose", bwd)
     return out
@@ -246,21 +270,63 @@ def slice_cols(tape: Tape | None, a: DenseMatrix, start: int, stop: int) -> Dens
     return out
 
 
-def concat_cols(tape: Tape | None, parts: Sequence[DenseMatrix]) -> DenseMatrix:
-    if not parts:
-        raise ValueError("concat_cols needs at least one part")
-    out = DenseMatrix(np.hstack([p.data for p in parts]))
+def split_heads(tape: Tape | None, a: DenseMatrix, heads: int) -> DenseMatrix:
+    """a (m, heads * d) -> stack (heads, m, d): slice h holds column block h."""
+    if a.data.ndim != 2 or heads < 1 or a.cols % heads:
+        raise ValueError(f"cannot split shape {a.data.shape} into {heads} heads")
+    m, width = a.rows, a.cols // heads
+    out = DenseMatrix(a.data.reshape(m, heads, width).transpose(1, 0, 2))
     if tape is not None:
-        offsets = np.cumsum([0] + [p.cols for p in parts])
 
         def bwd():
             g = out.grad
             if g is None:
                 return
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                p.ensure_grad()[...] += g[:, lo:hi]
+            a.ensure_grad()[...] += g.transpose(1, 0, 2).reshape(m, heads * width)
 
-        tape.record("concat_cols", bwd)
+        tape.record("split_heads", bwd)
+    return out
+
+
+def merge_heads(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
+    """Stack (heads, m, d) -> (m, heads * d): the inverse of :func:`split_heads`."""
+    if a.data.ndim != 3:
+        raise ValueError(f"merge_heads needs a 3-D stack, got shape {a.data.shape}")
+    heads, m, width = a.data.shape
+    out = DenseMatrix(a.data.transpose(1, 0, 2).reshape(m, heads * width))
+    if tape is not None:
+
+        def bwd():
+            g = out.grad
+            if g is None:
+                return
+            a.ensure_grad()[...] += g.reshape(m, heads, width).transpose(1, 0, 2)
+
+        tape.record("merge_heads", bwd)
+    return out
+
+
+def add_slices(tape: Tape | None, a: DenseMatrix, parts: Sequence[DenseMatrix | None]) -> DenseMatrix:
+    """Stack a (S, m, n) with each 2-D ``parts[s]`` added to slice s; a None part adds nothing."""
+    if a.data.ndim != 3 or len(parts) != a.data.shape[0]:
+        raise ValueError(f"add_slices needs one part per slice of {a.data.shape}, got {len(parts)}")
+    data = a.data.copy()
+    for s, p in enumerate(parts):
+        if p is not None:
+            data[s] += p.data
+    out = DenseMatrix(data)
+    if tape is not None:
+
+        def bwd():
+            g = out.grad
+            if g is None:
+                return
+            a.ensure_grad()[...] += g
+            for s, p in enumerate(parts):
+                if p is not None:
+                    p.ensure_grad()[...] += g[s]
+
+        tape.record("add_slices", bwd)
     return out
 
 
@@ -270,9 +336,9 @@ def concat_cols(tape: Tape | None, parts: Sequence[DenseMatrix]) -> DenseMatrix:
 
 
 def softmax_rows(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
-    """Row-wise softmax with max subtraction; each output row sums to 1."""
-    e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax with max subtraction; each output row (of every slice) sums to 1."""
+    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     out = DenseMatrix(p)
     if tape is not None:
 
@@ -280,7 +346,7 @@ def softmax_rows(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
             g = out.grad
             if g is None:
                 return
-            inner = (g * p).sum(axis=1, keepdims=True)
+            inner = (g * p).sum(axis=-1, keepdims=True)
             a.ensure_grad()[...] += p * (g - inner)
 
         tape.record("softmax_rows", bwd)

@@ -17,6 +17,9 @@ Three binarizers cover the whole model:
   rounding ``clip((att - beta)/alpha, 0, 1)`` to the nearest integer, halves
   rounding up.
 
+Both activation binarizers also take a stack of matrices (an attention
+layer's heads) with one binarizer per slice.
+
 Hard forwards are step functions, so every binarizer declares a clip
 surrogate and its backward closure is the exact almost-everywhere gradient of
 that surrogate; gradient tests difference the surrogate, not the step.  The
@@ -28,7 +31,7 @@ differencing uses — while the backward closures are identical in both modes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Literal
@@ -229,14 +232,47 @@ def binarize_weight(tape: Tape | None, w: DenseMatrix, mode: QuantMode = "hard")
     return apply_weight(tape, prepare_weight(w, mode, taped=tape is not None))
 
 
+def _slice_params(
+    x: Array, q: ElasticQuant | Sequence[ElasticQuant]
+) -> tuple[list[ElasticQuant], Array, Array]:
+    """One binarizer per slice of ``x`` (a 2-D ``x`` is one slice), with its raw level and threshold.
+
+    The levels and thresholds come back shaped (slices, 1, 1) to broadcast
+    over a stack, and as 0-d arrays (numpy's scalar fast path) for a matrix.
+    """
+    qs = [q] if isinstance(q, ElasticQuant) else list(q)
+    slices = x.shape[0] if x.ndim == 3 else 1
+    if len(qs) != slices:
+        raise ValueError(f"{slices} slice(s) need as many binarizers, got {len(qs)}")
+    shape = (slices, 1, 1) if x.ndim == 3 else ()
+    alpha = np.array([p.alpha.data[0, 0] for p in qs]).reshape(shape)
+    beta = np.array([p.beta.data[0, 0] for p in qs]).reshape(shape)
+    return qs, alpha, beta
+
+
+def _slice_sums(x: Array, slices: int) -> Array:
+    """The sum of each slice of ``x``, each taken over its elements in memory order."""
+    return x.reshape(slices, -1).sum(axis=1)
+
+
+def _add_param_grads(qs: list[ElasticQuant], d_alpha: Array, d_beta: Array) -> None:
+    """Add each slice's level and threshold gradient to that slice's binarizer."""
+    for p, da, db in zip(qs, d_alpha, d_beta):
+        p.alpha.ensure_grad()[0, 0] += da
+        p.beta.ensure_grad()[0, 0] += db
+
+
 def binarize_activation_pm1(
     tape: Tape | None,
     a: DenseMatrix,
-    q: ElasticQuant,
+    q: ElasticQuant | Sequence[ElasticQuant],
     mode: QuantMode = "hard",
 ) -> DenseMatrix:
     """Elastic two-level activations: alpha * sign(a - beta), alpha floored at 1e-6.
 
+    ``a`` is a matrix with one binarizer ``q``, or a stack with one
+    binarizer per slice (an attention layer's heads), each slice taking its
+    own level and threshold and passing its gradient to them alone.
     Backward is the exact gradient of the surrogate
     ``alpha * hardtanh(a - beta)``: input and threshold take the hardtanh
     window on (a - beta); the level takes the clipped shifted values, which
@@ -244,26 +280,28 @@ def binarize_activation_pm1(
     level gradient is gated off while the floor is active.
     """
     _check_mode(mode)
-    alpha_raw = float(q.alpha.data[0, 0])
-    alpha = max(alpha_raw, ALPHA_FLOOR)
-    beta = float(q.beta.data[0, 0])
+    qs, alpha_raw, beta = _slice_params(a.data, q)
+    alpha = np.maximum(alpha_raw, ALPHA_FLOOR)
     shifted = a.data - beta
     if mode == "hard":
         out = DenseMatrix(alpha * _sign_pm1(shifted))
     else:
         out = DenseMatrix(alpha * np.clip(shifted, -1.0, 1.0))
     if tape is not None:
-        window = (np.abs(shifted) <= 1.0).astype(np.float64)
-        clipped = np.clip(shifted, -1.0, 1.0)
-        alpha_free = 1.0 if alpha_raw > ALPHA_FLOOR else 0.0
+        window = np.abs(shifted) <= 1.0
+        alpha_free = (alpha_raw > ALPHA_FLOOR).reshape(-1)
 
         def bwd():
             g = out.grad
             if g is None:
                 return
-            a.ensure_grad()[...] += g * alpha * window
-            q.alpha.ensure_grad()[0, 0] += alpha_free * float((g * clipped).sum())
-            q.beta.ensure_grad()[0, 0] += -alpha * float((g * window).sum())
+            g_window = g * window
+            d_beta = -alpha.reshape(-1) * _slice_sums(g_window, len(qs))
+            g_window *= alpha
+            a.ensure_grad()[...] += g_window
+            g_clipped = np.clip(shifted, -1.0, 1.0)
+            g_clipped *= g
+            _add_param_grads(qs, alpha_free * _slice_sums(g_clipped, len(qs)), d_beta)
 
         tape.record("binarize_activation_pm1", bwd)
     return out
@@ -272,12 +310,14 @@ def binarize_activation_pm1(
 def binarize_attention_01(
     tape: Tape | None,
     att: DenseMatrix,
-    q: ElasticQuant,
+    q: ElasticQuant | Sequence[ElasticQuant],
     mode: QuantMode = "hard",
     key_mask: Array | None = None,
 ) -> DenseMatrix:
     """Two-level attention maps in {0, alpha}.
 
+    ``att`` is one map with one binarizer ``q``, or a stack of per-head maps
+    with one binarizer per slice, as in :func:`binarize_activation_pm1`.
     Hard forward rounds ``u = (att - beta)/alpha`` clipped to [0, 1] to the
     nearest integer with halves rounding up, i.e. selects where u >= 1/2.
     Backward takes the analytic partials of the surrogate
@@ -289,10 +329,9 @@ def binarize_attention_01(
     threshold.
     """
     _check_mode(mode)
-    alpha = float(q.alpha.data[0, 0])
-    if alpha <= 0.0:
-        raise QuantError(f"attention binarizer level must be positive, got {alpha}")
-    beta = float(q.beta.data[0, 0])
+    qs, alpha, beta = _slice_params(att.data, q)
+    if np.any(alpha <= 0.0):
+        raise QuantError(f"attention binarizer level must be positive, got {alpha.min()}")
     u = (att.data - beta) / alpha
     if key_mask is not None:
         u = np.where(key_mask, u, 0.0)
@@ -308,9 +347,9 @@ def binarize_attention_01(
             g = out.grad
             if g is None:
                 return
-            att.ensure_grad()[...] += g * inside
-            q.alpha.ensure_grad()[0, 0] += float((g * sat_hi).sum())
-            q.beta.ensure_grad()[0, 0] += -float((g * inside).sum())
+            g_inside = g * inside
+            att.ensure_grad()[...] += g_inside
+            _add_param_grads(qs, _slice_sums(g * sat_hi, len(qs)), -_slice_sums(g_inside, len(qs)))
 
         tape.record("binarize_attention_01", bwd)
     return out

@@ -25,16 +25,18 @@ from .numerics import (
     add,
     add_bias,
     add_constant,
+    add_slices,
     affine,
-    concat_cols,
     cross_entropy,
     gather_rows,
     gelu,
     layer_norm,
     matmul,
+    merge_heads,
     scale,
     slice_cols,
     softmax_rows,
+    split_heads,
     transpose,
 )
 from .quant import (
@@ -145,16 +147,19 @@ def _grad_case_ops(rng: np.random.Generator) -> float:
     """One composite graph exercising every differentiable numerics op.
 
     All ops in the graph are smooth at generic inputs, so any point works;
-    FD runs over every entry of every leaf (far more than ten points).
+    FD runs over every entry of every leaf (far more than ten points).  The
+    middle of the graph runs on a two-head stack, with the 2-D leaf ``m``
+    broadcast over it from either side.
     """
     x0 = DenseMatrix(rng.normal(size=(3, 4)))
     x1 = DenseMatrix(rng.normal(size=(3, 4)))
-    w = DenseMatrix(rng.normal(size=(5, 4)))
-    gamma = DenseMatrix(rng.normal(size=(1, 5)) * 0.2 + 1.0)
-    beta = DenseMatrix(rng.normal(size=(1, 5)) * 0.1)
-    bias = DenseMatrix(rng.normal(size=(1, 5)) * 0.1)
+    w = DenseMatrix(rng.normal(size=(6, 4)))
+    gamma = DenseMatrix(rng.normal(size=(1, 6)) * 0.2 + 1.0)
+    beta = DenseMatrix(rng.normal(size=(1, 6)) * 0.1)
+    bias = DenseMatrix(rng.normal(size=(1, 6)) * 0.1)
+    m = DenseMatrix(rng.normal(size=(3, 3)))
     targets = np.array([1, -100, 3])
-    leaves = [x0, x1, w, gamma, beta, bias]
+    leaves = [x0, x1, w, gamma, beta, bias, m]
 
     def graph() -> tuple[Tape, DenseMatrix]:
         tape = Tape()
@@ -165,9 +170,12 @@ def _grad_case_ops(rng: np.random.Generator) -> float:
         h = layer_norm(tape, h, gamma, beta)
         h = gelu(tape, h)
         h = scale(tape, add_constant(tape, h, 0.1), 0.5)
-        h = concat_cols(tape, [slice_cols(tape, h, 0, 3), slice_cols(tape, h, 2, 5)])
+        s = split_heads(tape, h, 2)
+        s = add_slices(tape, matmul(tape, s, transpose(tape, s)), [m, None])
+        s = softmax_rows(tape, scale(tape, s, 0.5))
+        h = merge_heads(tape, matmul(tape, m, matmul(tape, s, m)))
+        h = slice_cols(tape, h, 1, 5)
         h = gather_rows(tape, h, np.array([2, 0, 2]))
-        h = softmax_rows(tape, h)
         return tape, cross_entropy(tape, h, targets)
 
     tape, loss = graph()

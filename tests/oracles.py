@@ -11,6 +11,8 @@ leaves on a binarized matrix is added into a running sum in sequence order,
 and the binarizer backward then runs once per weight on that sum, through
 the per-use closure of ``quant.apply_weight``.  They check the per-step
 weight binarization and its deferred backward, not the math.
+``per_head_attend`` is the same kind of exception: ``binattn.attend`` as
+a loop of 2-D tape ops, one head at a time.
 ``estimator_factors`` is plain test plumbing shared by two test modules.
 """
 
@@ -188,6 +190,104 @@ def full_precision_encoder(
     mlm = affine(x, params["head.mlm.w"], params["head.mlm.b"])
     nsp = affine(x[:1], params["head.nsp.w"], params["head.nsp.b"])
     return mlm, nsp
+
+
+def _concat_cols(tape, parts):
+    """Columns of ``parts`` side by side, as one tape op."""
+    from bitformer.numerics import DenseMatrix
+
+    out = DenseMatrix(np.hstack([p.data for p in parts]))
+    if tape is not None:
+        offsets = np.cumsum([0] + [p.cols for p in parts])
+
+        def bwd():
+            if out.grad is not None:
+                for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+                    p.ensure_grad()[...] += out.grad[:, lo:hi]
+
+        tape.record("concat_cols", bwd)
+    return out
+
+
+def per_head_attend(ops, a, layer, key_mask=None, trace=None):
+    """``binattn.attend`` one head at a time: column slices, per-head 2-D products, a concat.
+
+    ``ops`` is a ``SimOps``, ``PackedOps`` or ``FullPrecisionOps``; only its
+    tape, mode and ``linear`` are used.  Each head's scores, selection and
+    value mix are the per-head forms of those op sets, each head reads its
+    own binarizers, and its score-estimator correction is added to its
+    scores by a 2-D ``add``.  Returns the layer output; ``trace`` receives
+    per-head lists like ``attend``'s.
+    """
+    from bitformer.binattn import (
+        PAD_SCORE_BIAS,
+        FullPrecisionOps,
+        PackedOps,
+        _level,
+        _pack_shifted,
+        head_rank_blocks,
+        score_residual,
+    )
+    from bitformer.bitkernel import binary_gemm, pack_signs, ternary_binary_gemm
+    from bitformer.numerics import add, add_constant, matmul, scale, slice_cols, softmax_rows, transpose
+    from bitformer.quant import binarize_activation_pm1, binarize_attention_01
+
+    tape, mode = ops.tape, ops.mode
+    full, packed = isinstance(ops, FullPrecisionOps), isinstance(ops, PackedOps)
+
+    def scores(q_h, k_h, q_bin, k_bin):
+        if full:
+            return matmul(tape, q_h, transpose(tape, k_h))
+        if packed:
+            bits_q, bits_k = _pack_shifted(q_h.data, q_bin), _pack_shifted(k_h.data, k_bin)
+            return binary_gemm(bits_q, bits_k, _level(q_bin) * _level(k_bin))
+        qb = binarize_activation_pm1(tape, q_h, q_bin, mode)
+        kb = binarize_activation_pm1(tape, k_h, k_bin, mode)
+        return matmul(tape, qb, transpose(tape, kb))
+
+    def mix(sel, v_h, v_bin, att_bin):
+        if full:
+            return matmul(tape, sel, v_h)
+        if packed:
+            bits_sel = pack_signs(np.where(sel.data != 0.0, 1.0, -1.0))
+            level = float(att_bin.alpha.data[0, 0]) * _level(v_bin)
+            return ternary_binary_gemm(bits_sel, _pack_shifted(v_h.data.T, v_bin), level)
+        return matmul(tape, sel, binarize_activation_pm1(tape, v_h, v_bin, mode))
+
+    dk = layer.head_width
+    inv = 1.0 / math.sqrt(dk)
+    est = layer.estimators
+    q = ops.linear(a, layer.wq, layer.bq, layer.in_q)
+    k = ops.linear(a, layer.wk, layer.bk, layer.in_k)
+    v = ops.linear(a, layer.wv, layer.bv, layer.in_v)
+    blocks = [None] * layer.heads
+    if est is not None:
+        blocks = [(lo, hi) if lo < hi else None for lo, hi in head_rank_blocks(est.rank, layer.heads)]
+        au = matmul(tape, a, est.u_v_star)
+        vt_star = transpose(tape, est.v_v_star)
+    pad_bias = None if key_mask is None else np.where(key_mask, 0.0, PAD_SCORE_BIAS)
+    if trace is not None:
+        trace["att"], trace["att_selected"] = [], []
+
+    ctx_parts = []
+    for h in range(layer.heads):
+        lo, hi = h * dk, (h + 1) * dk
+        s = scores(slice_cols(tape, q, lo, hi), slice_cols(tape, k, lo, hi), layer.head_q[h], layer.head_k[h])
+        if blocks[h] is not None:
+            s = add(tape, s, score_residual(tape, a, est, blocks[h]))
+        s = scale(tape, s, inv)
+        if pad_bias is not None:
+            s = add_constant(tape, s, pad_bias)
+        att = softmax_rows(tape, s)
+        sel = att if full else binarize_attention_01(tape, att, layer.head_att[h], mode, key_mask)
+        ctx = mix(sel, slice_cols(tape, v, lo, hi), layer.head_v[h], layer.head_att[h])
+        if est is not None:
+            ctx = add(tape, ctx, matmul(tape, matmul(tape, sel, au), slice_cols(tape, vt_star, lo, hi)))
+        ctx_parts.append(ctx)
+        if trace is not None:
+            trace["att"].append(att.data.copy())
+            trace["att_selected"].append((sel.data != 0.0).astype(np.float64))
+    return ops.linear(_concat_cols(tape, ctx_parts), layer.wo, layer.bo, layer.in_o)
 
 
 def estimator_factors(est) -> list:

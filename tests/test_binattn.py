@@ -17,8 +17,12 @@ import pytest
 from bitformer import binattn, quant
 from bitformer.binattn import (
     AttentionLayerState,
+    FullPrecisionOps,
     InitTensors,
+    PackedOps,
     ResidualEstimators,
+    SimOps,
+    attend,
     attention_forward,
     attention_forward_packed,
     head_rank_blocks,
@@ -28,10 +32,11 @@ from bitformer.binattn import (
     zero_estimators,
 )
 from bitformer.bitkernel import pack_signs
+from bitformer.model import _state_nodes
 from bitformer.numerics import DenseMatrix, Tape
 from bitformer.quant import ElasticQuant, binarize_weight, weight_row_scales
 
-from oracles import central_difference, estimator_factors, relative_error
+from oracles import central_difference, estimator_factors, per_head_attend, relative_error
 
 RNG = np.random.default_rng(3141)
 
@@ -39,6 +44,78 @@ RNG = np.random.default_rng(3141)
 def small_layer(hidden=8, heads=2, rank=0, seed=0):
     source = InitTensors(np.random.default_rng(seed))
     return make_attention_layer(source, hidden=hidden, heads=heads, rank=rank, seq_hint=8)
+
+
+# --------------------------------------------------------------------------
+# stacked heads against the per-head loop
+# --------------------------------------------------------------------------
+
+OP_SETS = {
+    "sim-hard": lambda tape: SimOps(tape, "hard"),
+    "sim-relaxed": lambda tape: SimOps(tape, "relaxed"),
+    "packed": lambda tape: PackedOps(),
+    "full-precision": lambda tape: FullPrecisionOps(tape),
+}
+
+
+def generic_layer(rank: int, binary: bool, seed: int = 11) -> AttentionLayerState:
+    """A 4-head layer away from init: spread weights, estimators and binarizer settings.
+
+    One head's query level sits below the floor, so its level gradient is gated.
+    """
+    rng = np.random.default_rng(seed)
+    layer = make_attention_layer(InitTensors(rng), hidden=16, heads=4, rank=rank, seq_hint=8, binary=binary)
+    for w in (layer.wq, layer.wk, layer.wv, layer.wo):
+        w.data *= 25.0
+    if layer.estimators is not None:
+        for f in estimator_factors(layer.estimators):
+            f.data[...] = rng.normal(0.0, 0.3, size=f.data.shape)
+    if binary:
+        for q in layer.binarizers():
+            q.alpha.data[...] = rng.uniform(0.5, 1.5)
+            q.beta.data[...] = rng.normal(0.0, 0.1)
+        for q in layer.head_att:
+            q.alpha.data[...] = rng.uniform(0.05, 0.3)
+            q.beta.data[...] = rng.normal(0.0, 0.02)
+        layer.head_q[1].alpha.data[...] = 1e-7
+    return layer
+
+
+def layer_tensors(layer: AttentionLayerState) -> list[DenseMatrix]:
+    return [t for t in _state_nodes(layer, []) if isinstance(t, DenseMatrix)]
+
+
+@pytest.mark.parametrize("op_set", list(OP_SETS))
+@pytest.mark.parametrize("rank", [0, 8, 6, 3], ids=["no-est", "even-blocks", "uneven-blocks", "rank-below-heads"])
+@pytest.mark.parametrize("padded", [False, True], ids=["all-keys", "padded-keys"])
+def test_stacked_attend_equals_the_per_head_loop_bitwise(op_set, rank, padded):
+    n = 7
+    rng = np.random.default_rng(100 + rank)
+    a_data = rng.normal(size=(n, 16))
+    coeffs = rng.normal(size=(n, 16))
+    key_mask = np.arange(n) < 5 if padded else None
+    runs = []
+    for attend_fn in (attend, per_head_attend):
+        layer = generic_layer(rank, binary=op_set != "full-precision")
+        a = DenseMatrix(a_data.copy())
+        tape = None if op_set == "packed" else Tape()
+        trace: dict = {}
+        out = attend_fn(OP_SETS[op_set](tape), a, layer, key_mask, trace)
+        if tape is not None:
+            out.ensure_grad()[...] = coeffs
+            tape.replay()
+            assert a.grad is not None
+        runs.append((out.data, trace, [a] + layer_tensors(layer)))
+    (out, trace, tensors), (want_out, want_trace, want_tensors) = runs
+
+    assert out.tobytes() == want_out.tobytes()
+    for key in ("att", "att_selected"):
+        assert isinstance(trace[key], list) and len(trace[key]) == 4
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(trace[key], want_trace[key]))
+    for got, want in zip(tensors, want_tensors):
+        assert (got.grad is None) == (want.grad is None), got.name
+        if got.grad is not None:
+            assert got.grad.tobytes() == want.grad.tobytes(), got.name
 
 
 # --------------------------------------------------------------------------

@@ -123,6 +123,17 @@ def test_forward_shapes():
     assert res.nsp_logits.data.shape == (1, 2)
 
 
+def test_a_taped_smoke_forward_records_each_attention_step_once_for_all_heads():
+    # 2 layers, 4 heads: a per-head loop would record each score, softmax,
+    # selection and mix step four times per layer (172 ops in all)
+    cfg = ModelConfig(layers=2, hidden=128, heads=4, ffn=256, max_seq=64, vocab=50).validate()
+    model = build_model(cfg, seed=0)
+    tokens = np.random.default_rng(0).integers(5, 50, size=24)
+    tape = Tape()
+    forward(model, tokens, np.zeros(24, dtype=np.int64), tape=tape)
+    assert len(tape.ops) <= 100
+
+
 def test_sequence_longer_than_max_seq_is_rejected():
     model = build_model(tiny_config(max_seq=4), seed=0)
     with pytest.raises(ValueError, match="max_seq"):

@@ -23,17 +23,19 @@ from bitformer.numerics import (
     add,
     add_bias,
     add_constant,
+    add_slices,
     affine,
-    concat_cols,
     cross_entropy,
     gather_rows,
     gelu,
     layer_norm,
     linear_warmup_schedule,
     matmul,
+    merge_heads,
     scale,
     slice_cols,
     softmax_rows,
+    split_heads,
     transpose,
 )
 
@@ -82,12 +84,15 @@ def as_scalar(tape, m):
 # --------------------------------------------------------------------------
 
 
-def test_dense_matrix_requires_2d():
-    with pytest.raises(ValueError):
-        DenseMatrix(np.zeros(3))
+def test_dense_matrix_holds_a_matrix_or_a_stack_and_nothing_else():
+    for shape in ((3,), (2, 2, 2, 2)):
+        with pytest.raises(ValueError, match="DenseMatrix must be 2-D or 3-D"):
+            DenseMatrix(np.zeros(shape))
     m = DenseMatrix([[1.0, 2.0]])
     assert (m.rows, m.cols) == (1, 2)
     assert m.data.dtype == np.float64
+    stack = DenseMatrix(np.zeros((4, 2, 3)))
+    assert (stack.rows, stack.cols) == (2, 3)
 
 
 def test_gradients_accumulate_additively_and_reset_explicitly():
@@ -219,13 +224,62 @@ def test_untaped_full_precision_linear_makes_no_copy_of_its_weight():
     assert peak < w.data.nbytes
 
 
-def test_concat_and_gather_roundtrip_with_gradients():
-    a = RNG.normal(size=(2, 3))
-    b = RNG.normal(size=(2, 3))
+def test_split_and_merge_heads_roundtrip_and_fd():
+    a = RNG.normal(size=(2, 6))
+    stack = split_heads(None, DenseMatrix(a), 3)
+    assert np.array_equal(stack.data, [a[:, 0:2], a[:, 2:4], a[:, 4:6]])
+    assert np.array_equal(merge_heads(None, stack).data, a)
+    with pytest.raises(ValueError):
+        split_heads(None, DenseMatrix(a), 4)
 
-    cat = concat_cols(None, [DenseMatrix(a), DenseMatrix(b)])
-    assert np.allclose(cat.data, np.hstack([a, b]))
+    w = DenseMatrix(RNG.normal(size=(3, 2, 2)))  # weight each head differently
+    fd_against_tape(lambda t, ps: as_scalar(t, merge_heads(t, matmul(t, split_heads(t, ps[0], 3), w))), [a.copy()])
+    readout = DenseMatrix(RNG.normal(size=(6, 2)))
+    fd_against_tape(
+        lambda t, ps: as_scalar(t, matmul(t, merge_heads(t, ps[0]), readout)), [RNG.normal(size=(3, 2, 2))]
+    )
 
+
+def test_stacked_ops_equal_their_per_slice_matrix_ops_bitwise():
+    # a 2-D operand broadcast over a stack takes its gradient slice by slice,
+    # last slice first: the sums of one matrix op per slice, in tape order
+    stack, b = RNG.normal(size=(3, 4, 5)), RNG.normal(size=(5, 2))
+    g = RNG.normal(size=(3, 4, 2))
+    sm, bm = DenseMatrix(stack.copy()), DenseMatrix(b.copy())
+    tape = Tape()
+    out = matmul(tape, softmax_rows(tape, sm), bm)
+    out.ensure_grad()[...] = g
+    tape.replay()
+
+    parts, bm_ref = [DenseMatrix(x) for x in stack], DenseMatrix(b.copy())
+    tape = Tape()
+    outs = [matmul(tape, softmax_rows(tape, x), bm_ref) for x in parts]
+    for o, gh in zip(outs, g):
+        o.ensure_grad()[...] = gh
+    tape.replay()
+    assert np.array_equal(out.data, [o.data for o in outs])
+    assert np.array_equal(sm.grad, [x.grad for x in parts])
+    assert bm.grad.tobytes() == bm_ref.grad.tobytes()
+
+    assert np.array_equal(transpose(None, DenseMatrix(stack)).data, [x.T for x in stack])
+
+
+def test_add_slices_adds_each_part_to_its_slice_and_fd():
+    a = RNG.normal(size=(3, 2, 2))
+    part = RNG.normal(size=(2, 2))
+    out = add_slices(None, DenseMatrix(a), [None, DenseMatrix(part), None])
+    assert np.array_equal(out.data, [a[0], a[1] + part, a[2]])
+    with pytest.raises(ValueError):
+        add_slices(None, DenseMatrix(a), [None])
+
+    readout = DenseMatrix(RNG.normal(size=(6, 1)))
+    fd_against_tape(
+        lambda t, ps: as_scalar(t, matmul(t, merge_heads(t, add_slices(t, ps[0], [ps[1], None, ps[1]])), readout)),
+        [a.copy(), part.copy()],
+    )
+
+
+def test_gather_rows_with_gradients():
     table = RNG.normal(size=(5, 3))
     idx = np.array([4, 0, 0, 2])
     out = gather_rows(None, DenseMatrix(table), idx)
@@ -241,7 +295,6 @@ def test_concat_and_gather_roundtrip_with_gradients():
     assert np.allclose(tm.grad, want)
 
     fd_against_tape(lambda t, ps: as_scalar(t, gather_rows(t, ps[0], idx)), [table.copy()])
-    fd_against_tape(lambda t, ps: as_scalar(t, concat_cols(t, [ps[0], ps[1]])), [a.copy(), b.copy()])
 
 
 def test_add_constant_shifts_without_gradient_to_shift():

@@ -379,6 +379,44 @@ def test_att01_key_mask_gates_selection_and_gradient_at_any_threshold():
         assert q.alpha.grad[0, 0] == 4.0 + 5.0 + 8.0  # saturated u >= 1
 
 
+def test_stacked_binarizers_send_each_slice_gradient_to_its_own_binarizer():
+    # one binarizer per slice of a (2, 2, 5) stack, relaxed surrogates, every
+    # sample away from the clip corners of its own slice's parameters
+    pm1_x = np.array([[-2.2, -0.6, -0.1, 0.4, 0.7], [1.6, 2.4, 0.05, -1.4, 0.9]])
+    pm1_x = np.stack([pm1_x, pm1_x - 0.55])
+    att_x = np.stack(
+        [
+            [[-0.5, -0.1, 0.15, 0.25, 0.3], [0.55, 0.8, 1.2, 0.07, 0.33]],
+            [[-0.3, 0.05, 0.2, 0.3, 0.45], [0.14, 0.6, 0.9, 0.28, 0.18]],
+        ]
+    )
+    cases = (
+        (binarize_activation_pm1, pm1_x, [(0.8, 0.15), (1.3, -0.4)], lambda x, al, be: al * np.clip(x - be, -1.0, 1.0)),
+        (binarize_attention_01, att_x, [(0.4, 0.05), (0.25, 0.1)], lambda x, al, be: al * np.clip((x - be) / al, 0.0, 1.0)),
+    )
+    for binarize, x, params, surrogate in cases:
+        coeffs = RNG.normal(size=x.shape)
+        qs = [ElasticQuant.create(alpha=al, beta=be) for al, be in params]
+        xm = DenseMatrix(x.copy())
+        tape = Tape()
+        out = binarize(tape, xm, qs, mode="relaxed")
+        out.ensure_grad()[...] = coeffs
+        tape.replay()
+
+        def f(arrs):
+            xx, al, be = arrs
+            return float(sum(np.sum(coeffs[s] * surrogate(xx[s], al[s, 0], be[s, 0])) for s in range(2)))
+
+        levels = np.array([[al] for al, _ in params])
+        thresholds = np.array([[be] for _, be in params])
+        want_x, want_al, want_be = fd_of(f, [x, levels, thresholds])
+        assert relative_error(xm.grad, want_x, floor=1e-6) < FD_TOL
+        assert relative_error([q.alpha.grad[0, 0] for q in qs], want_al[:, 0], floor=1e-6) < FD_TOL
+        assert relative_error([q.beta.grad[0, 0] for q in qs], want_be[:, 0], floor=1e-6) < FD_TOL
+        with pytest.raises(ValueError, match="as many binarizers"):
+            binarize(None, xm, qs[:1])
+
+
 # --------------------------------------------------------------------------
 # float simulation vs packed kernels
 # --------------------------------------------------------------------------
