@@ -491,7 +491,7 @@ class FullPrecisionOps(SimOps):
     Each ``linear`` is one :func:`~bitformer.numerics.affine`, taped or not,
     so BLAS reads the (out, in) weight transposed in place instead of
     copying it first.  The task heads keep that copy; see
-    :func:`bitformer.model._heads`.
+    :func:`bitformer.model.head`.
     """
 
     def attention(self, a, layer, key_mask) -> DenseMatrix:

@@ -42,7 +42,7 @@ from .model import (
     load_model,
     save_checkpoint,
 )
-from .pretrain import TrainingAbort, finetune, pretrain_loop
+from .pretrain import METRICS_HEADER, TrainingAbort, finetune, pretrain_loop
 from .rng import substream
 from .verify import ALL_CHECKS, run_checks
 
@@ -56,8 +56,6 @@ CONFIG_PRESETS: dict[str, dict] = {
     "tiny": dict(layers=2, hidden=128, heads=4, ffn=256, max_seq=64, vocab=256),
     "base": dict(layers=12, hidden=768, heads=12, ffn=3072, max_seq=512, vocab=30522),
 }
-
-METRICS_HEADER = "step\tloss_mlm\tloss_nsp\tloss_rep\tloss_logit\tlr\tmasked_acc"
 
 
 # --------------------------------------------------------------------------

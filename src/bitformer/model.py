@@ -22,13 +22,9 @@ projections and the attention products:
   :func:`forward` to float accuracy.
 * :func:`encode` — the hidden states of :func:`forward` without the heads.
 
-A training step changes the weights only at its optimizer update, so
-:func:`binarize_linears` binarizes every block linear weight once per step;
-the step's forwards take it as ``weights``, and each tape adds its gradient
-into the shared matrices.  After the step's last tape and before its
-optimizer update (the backward reads ``sign(w.data)``),
-:func:`~bitformer.quant.backward_weights` runs one binarizer backward per
-weight on that sum.  Training stays deterministic for a given seed.
+:func:`binarize_linears` binarizes every block linear weight once, for the
+forwards that take it as ``weights``; :func:`~bitformer.pretrain.train_step`
+states how a training step uses it.
 
 Every trainable tensor is declared once, with its name, shape and init, in
 ``_declare`` (the attention layer's part in
@@ -99,6 +95,7 @@ __all__ = [
     "encode",
     "forward",
     "forward_packed",
+    "head",
     "load_checkpoint",
     "load_model",
     "model_binarizers",
@@ -441,36 +438,33 @@ def _encode(model: Model, ops: SimOps, token_ids, segment_ids, pad_mask) -> list
     return hidden
 
 
-def _heads(tape: Tape | None, model: Model, x: DenseMatrix) -> tuple[DenseMatrix, DenseMatrix]:
-    """Full-precision task heads: per-token vocabulary logits, pair order from row 0.
+def head(tape: Tape | None, h: DenseMatrix, w: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """A full-precision task head: ``h`` times the (out, in) weight ``w``, plus ``b``.
 
-    Each head multiplies by a transposed copy of its weight rather than
-    reading it in place as :class:`~bitformer.binattn.FullPrecisionOps` does.
-    The heads run in every binary model's training, and OpenBLAS rounds
-    1-row and few-row products differently when it reads the weight in
-    place, so the copy keeps binary training bitwise what it was.
+    It multiplies by a transposed copy of ``w`` rather than reading it in
+    place as :class:`~bitformer.binattn.FullPrecisionOps` does.  The heads
+    run in every binary model's training, and OpenBLAS rounds 1-row and
+    few-row products differently when it reads the weight in place, so the
+    copy keeps binary training bitwise what it was.
     """
+    return add_bias(tape, matmul(tape, h, transpose(tape, w)), b)
 
-    def head(h: DenseMatrix, w: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-        return add_bias(tape, matmul(tape, h, transpose(tape, w)), b)
 
-    mlm = head(x, model.head.mlm_w, model.head.mlm_b)
-    nsp = head(gather_rows(tape, x, np.array([0])), model.head.nsp_w, model.head.nsp_b)
+def _heads(tape: Tape | None, model: Model, x: DenseMatrix) -> tuple[DenseMatrix, DenseMatrix]:
+    """The two task heads: per-token vocabulary logits, pair order from row 0."""
+    mlm = head(tape, x, model.head.mlm_w, model.head.mlm_b)
+    nsp = head(tape, gather_rows(tape, x, np.array([0])), model.head.nsp_w, model.head.nsp_b)
     return mlm, nsp
 
 
 def binarize_linears(model: Model, taped: bool = True) -> dict[DenseMatrix, BinaryWeight]:
-    """Every block linear weight binarized once (hard mode), for one optimizer step.
+    """Every block linear weight binarized once (hard mode), valid until the weights change.
 
-    Pass the result as ``weights`` to :func:`forward` or :func:`encode`: each
-    sequence then reads these matrices instead of binarizing them again, and
-    its tape adds its gradient into each one's shared node.  Once the last
-    tape has run, pass ``weights.values()`` to
-    :func:`~bitformer.quant.backward_weights` before the optimizer changes
-    the weights, whose signs it reads: one binarizer backward per weight
-    then reaches the latent weights.  ``taped=False`` keeps no backward state, for untaped
-    forwards.  It is valid until the weights change.  A full-precision model
-    binarizes nothing.
+    Pass the result as ``weights`` to :func:`forward` or :func:`encode`, which
+    then read these matrices instead of binarizing their own;
+    :func:`~bitformer.pretrain.train_step` shares one across a step's tapes.
+    ``taped=False`` keeps no backward state, for untaped forwards.  A
+    full-precision model binarizes nothing.
     """
     if model.config.full_precision:
         return {}

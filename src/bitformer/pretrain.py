@@ -3,19 +3,17 @@
 Pretraining optimizes masked-token cross-entropy plus sentence-pair
 cross-entropy, optionally distilling from a full-precision twin: a forward
 relative entropy on the final logits and a per-layer mean-square error over
-all hidden states (embedding output included), added unweighted.  The loop
-runs AdamW under a linear warmup/decay schedule, accumulates gradients
-additively across the sequences of a batch, and is bit-reproducible under a
-fixed seed; any non-finite loss aborts with the name of the first non-finite
-tensor.  Finetuning attaches a fresh full-precision head to the classifier
-row and trains with a constant learning rate.
+all hidden states (embedding output included), added unweighted, under AdamW
+with a linear warmup/decay schedule.  Finetuning attaches a fresh
+full-precision head to the classifier row and trains with a constant
+learning rate.  Both run every optimizer step through :func:`train_step`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import IO, Sequence
+from dataclasses import dataclass, fields
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from .data import (
     make_nsp_pairs,
     mask_tokens,
 )
-from .model import Model, binarize_linears, encode, forward, model_binarizers, named_parameters
+from .model import Model, binarize_linears, encode, forward, head, model_binarizers, named_parameters
 from .numerics import (
     AdamW,
     DenseMatrix,
@@ -37,11 +35,9 @@ from .numerics import (
     cross_entropy,
     gather_rows,
     linear_warmup_schedule,
-    matmul,
     scale,
-    transpose,
 )
-from .quant import backward_weights
+from .quant import BinaryWeight, backward_weights
 from .rng import substream
 
 Array = np.ndarray
@@ -188,6 +184,69 @@ def total_loss(
 
 
 # --------------------------------------------------------------------------
+# one optimizer step
+# --------------------------------------------------------------------------
+
+
+def project_binarizer_levels(model: Model, floor: float = LEVEL_FLOOR) -> None:
+    """Clamp every binarizer level to stay positive after an optimizer step."""
+    for q in model_binarizers(model):
+        if q.alpha.data[0, 0] < floor:
+            q.alpha.data[0, 0] = floor
+
+
+def _first_non_finite(model: Model, terms: dict[str, float]) -> str:
+    for pname, p in named_parameters(model):
+        if not np.isfinite(p.data).all():
+            return pname
+    for name, value in terms.items():
+        if not math.isfinite(value):
+            return f"loss_{name}"
+    return "loss"
+
+
+def train_step(
+    model: Model,
+    opt: AdamW,
+    items: Sequence,
+    loss_of: Callable[[Tape, dict[DenseMatrix, BinaryWeight], object], DenseMatrix],
+    lr: float | None = None,
+    *,
+    freeze_body: bool = False,
+    terms: dict[str, float] | None = None,
+) -> None:
+    """One optimizer step on the mean of ``loss_of(tape, weights, item)`` over ``items``.
+
+    The block linear weights change only at the update, so they are
+    binarized once (:func:`~bitformer.model.binarize_linears`) and every
+    item's fresh tape reads and adds its gradient into the same matrices.
+    After the last tape the binarizer backward runs once per weight on that
+    sum (:func:`~bitformer.quant.backward_weights`), before the update,
+    since it reads the signs of the weights the update changes.  The
+    backward is linear in its gradient, so this differs from binarizing per
+    item only in summation order, and a step is deterministic for given
+    inputs.  A non-finite loss raises :class:`TrainingAbort` naming the
+    first non-finite parameter, else the first non-finite entry of
+    ``terms`` (loss sums that ``loss_of`` keeps), else ``loss``.
+    ``freeze_body`` is for an untaped body: its weights keep no backward
+    state and its binarizer levels are not projected.
+    """
+    opt.zero_grad()
+    weights = binarize_linears(model, taped=not freeze_body)
+    for item in items:
+        tape = Tape()
+        loss = loss_of(tape, weights, item)
+        if not math.isfinite(float(loss.data[0, 0])):
+            raise TrainingAbort(_first_non_finite(model, terms or {}))
+        tape.backward(scale(tape, loss, 1.0 / len(items)))
+    backward_weights(weights.values())
+    weights = tape = None  # drop this step's binarized weights before the update's temporaries
+    opt.step(lr=lr)
+    if not freeze_body:
+        project_binarizer_levels(model)
+
+
+# --------------------------------------------------------------------------
 # pretraining loop
 # --------------------------------------------------------------------------
 
@@ -205,37 +264,10 @@ class StepMetrics:
     masked_acc: float
 
     def line(self) -> str:
-        return "\t".join(
-            [str(self.step)]
-            + [
-                f"{v:.6f}"
-                for v in (
-                    self.loss_mlm,
-                    self.loss_nsp,
-                    self.loss_rep,
-                    self.loss_logit,
-                    self.lr,
-                    self.masked_acc,
-                )
-            ]
-        )
+        return "\t".join([str(self.step)] + [f"{getattr(self, f.name):.6f}" for f in fields(self)[1:]])
 
 
-def project_binarizer_levels(model: Model, floor: float = LEVEL_FLOOR) -> None:
-    """Clamp every binarizer level to stay positive after an optimizer step."""
-    for q in model_binarizers(model):
-        if q.alpha.data[0, 0] < floor:
-            q.alpha.data[0, 0] = floor
-
-
-def _first_non_finite(model: Model, parts: dict[str, float]) -> str:
-    for pname, p in named_parameters(model):
-        if not np.isfinite(p.data).all():
-            return pname
-    for name, value in parts.items():
-        if not math.isfinite(value):
-            return f"loss_{name}"
-    return "loss"
+METRICS_HEADER = "\t".join(f.name for f in fields(StepMetrics))
 
 
 def _sequence_views(batch: TokenBatch, row: int):
@@ -264,15 +296,7 @@ def pretrain_loop(
 ) -> list[StepMetrics]:
     """Two-task pretraining with optional distillation; returns per-step metrics.
 
-    Each sequence of a batch runs its own forward and backward, and the
-    gradients accumulate additively (each sequence's loss is pre-scaled by
-    1/batch_size, so the step is a batch mean).  The block linear weights
-    change only at the optimizer update, so they are binarized once per
-    step (:func:`~bitformer.model.binarize_linears`): every sequence's tape
-    reads the same matrices and adds its gradient into them, and after the
-    batch's last tape the binarizer backward runs once per weight on that
-    sum (:func:`~bitformer.quant.backward_weights`), before the optimizer
-    update, since it reads the signs of the weights it updates.  All
+    Each step is one :func:`train_step` over the batch's sequences.  All
     randomness derives from named substreams of ``seed``; two runs with
     equal arguments produce bitwise-identical parameters and logs.
     """
@@ -293,15 +317,13 @@ def pretrain_loop(
         pairs = [next(pair_stream) for _ in range(batch_size)]
         batch = mask_tokens(assemble_nsp_batch(pairs), vocab_size, rng_mask)
         n_rows = batch.token_ids.shape[0]
-
-        opt.zero_grad()
-        weights = binarize_linears(model)
         sums = {"mlm": 0.0, "nsp": 0.0, "rep": 0.0, "logit": 0.0}
         hit = 0
         masked = 0
-        for row in range(n_rows):
+
+        def loss_of(tape, weights, row):
+            nonlocal hit, masked
             tokens, segs, labels, nsp = _sequence_views(batch, row)
-            tape = Tape()
             res = forward(model, tokens, segs, tape=tape, mode="hard", weights=weights)
             l_mlm = cross_entropy(tape, res.mlm_logits, labels)
             l_nsp = cross_entropy(tape, res.nsp_logits, nsp)
@@ -318,22 +340,16 @@ def pretrain_loop(
             if teacher is not None:
                 sums["rep"] += float(l_rep.data[0, 0])
                 sums["logit"] += float(l_logit.data[0, 0])
-            if not math.isfinite(float(loss.data[0, 0])):
-                raise TrainingAbort(_first_non_finite(model, sums))
 
             live = labels != IGNORE_LABEL
             masked += int(live.sum())
             if live.any():
                 pred = res.mlm_logits.data[live].argmax(axis=1)
                 hit += int((pred == labels[live]).sum())
-
-            tape.backward(scale(tape, loss, 1.0 / n_rows))
-        backward_weights(weights.values())
-        weights = tape = None  # drop this step's binarized weights before the next are built
+            return loss
 
         lr = linear_warmup_schedule(step + 1, steps, warmup_frac, peak_lr)
-        opt.step(lr=lr)
-        project_binarizer_levels(model)
+        train_step(model, opt, range(n_rows), loss_of, lr, terms=sums)
 
         entry = StepMetrics(
             step=step,
@@ -374,18 +390,10 @@ def _check_labels(examples: Sequence[Example], n_classes: int) -> None:
 
 
 def _classifier_logits(tape, model, tokens, segs, weights, w, b, frozen=False):
-    """Head logits of the classifier row; a ``frozen`` body runs untaped.
-
-    The head multiplies by a transposed copy of ``w`` (``transpose`` then
-    ``matmul``), not by :func:`~bitformer.numerics.affine`'s in-place read:
-    OpenBLAS rounds this 1-row product differently in the two forms, and the
-    copy keeps finetuning bitwise what it was.
-    """
+    """Head logits of the classifier row; a ``frozen`` body runs untaped."""
     body_tape = None if frozen else tape
     last = encode(model, np.asarray(tokens), np.asarray(segs), tape=body_tape, weights=weights)[-1]
-    cls = gather_rows(body_tape, last, np.array([0]))
-    logits = matmul(tape, cls, transpose(tape, w))
-    return add(tape, logits, b)
+    return head(tape, gather_rows(body_tape, last, np.array([0])), w, b)
 
 
 def finetune(
@@ -403,15 +411,12 @@ def finetune(
 ) -> FinetuneResult:
     """Train a fresh full-precision head on the classifier row; report accuracy.
 
-    Constant learning rate, no schedule, no distillation.  ``freeze_body``
+    Constant learning rate, no schedule, no distillation; each chunk of
+    ``batch_size`` examples is one :func:`train_step`.  ``freeze_body``
     restricts updates to the head (a linear probe): the body then runs
     untaped and only the head records a backward.  Otherwise gradients also
-    flow into the body's latent parameters.  The block linear weights are
-    binarized once per AdamW chunk and once for the evaluation pass
-    (:func:`~bitformer.model.binarize_linears`), not once per example; a
-    trained body's binarizer backward runs once per weight and chunk, on
-    the gradient its examples summed, before the optimizer update.  Results
-    are deterministic for a given seed.
+    flow into the body's latent parameters.  Results are deterministic for a
+    given seed.
     """
     _check_labels(train_examples, n_classes)
     _check_labels(eval_examples, n_classes)
@@ -424,25 +429,15 @@ def finetune(
     opt = AdamW([head_w, head_b] + body_params, lr=lr, weight_decay=weight_decay)
     order_rng = substream(seed, "finetune-order")
 
+    def loss_of(tape, weights, idx):
+        (tokens, segs), label = train_examples[int(idx)]
+        logits = _classifier_logits(tape, model, tokens, segs, weights, head_w, head_b, frozen=freeze_body)
+        return cross_entropy(tape, logits, np.array([label]))
+
     for _ in range(epochs):
         order = order_rng.permutation(len(train_examples))
         for start in range(0, len(order), batch_size):
-            chunk = order[start : start + batch_size]
-            opt.zero_grad()
-            weights = binarize_linears(model, taped=not freeze_body)
-            for idx in chunk:
-                (tokens, segs), label = train_examples[int(idx)]
-                tape = Tape()
-                logits = _classifier_logits(
-                    tape, model, tokens, segs, weights, head_w, head_b, frozen=freeze_body
-                )
-                loss = cross_entropy(tape, logits, np.array([label]))
-                tape.backward(scale(tape, loss, 1.0 / len(chunk)))
-            backward_weights(weights.values())
-            weights = tape = None  # drop this chunk's binarized weights before the next are built
-            opt.step()
-            if not freeze_body:
-                project_binarizer_levels(model)
+            train_step(model, opt, order[start : start + batch_size], loss_of, freeze_body=freeze_body)
 
     correct = 0
     weights = binarize_linears(model, taped=False)

@@ -6,11 +6,10 @@ Three binarizers cover the whole model:
   (sign(0) = +1), scale by the row's mean absolute value.  Each output row
   holds at most the two values ±scale.  It is ``prepare_weight`` (the
   forward, once per weight value) followed by ``apply_weight`` (one tape
-  node per use, with its own backward).  A training step instead prepares
-  each weight once and lets every tape of its batch read the preparation's
-  shared ``node``, whose ``.grad`` sums every use; ``backward_weights`` then
-  runs the binarizer backward once per weight on that sum.  The backward is
-  linear in its incoming gradient, so this moves only the summation order.
+  node per use, with its own backward).  Tapes that read a preparation's
+  shared ``node`` instead sum their gradients in its ``.grad``, and
+  ``backward_weights`` runs the binarizer backward once on that sum (see
+  :func:`bitformer.pretrain.train_step`).
 * ``binarize_activation_pm1`` — elastic two-level activations
   ``alpha * sign(a - beta)`` with a trainable level and threshold.
 * ``binarize_attention_01`` — post-softmax maps quantized to {0, alpha} by

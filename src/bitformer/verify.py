@@ -192,11 +192,6 @@ def _grad_case_ops(rng: np.random.Generator) -> float:
     return worst
 
 
-def _replay(tape: Tape) -> None:
-    for _, fn in reversed(tape.ops):
-        fn()
-
-
 def _grad_case_binarizers(rng: np.random.Generator) -> float:
     """FD every binarizer partial against a hand-written surrogate formula.
 
@@ -221,7 +216,7 @@ def _grad_case_binarizers(rng: np.random.Generator) -> float:
     tape = Tape()
     out = binarize_weight(tape, wn, mode="relaxed")
     out.ensure_grad()[...] = coeffs_w
-    _replay(tape)
+    tape.replay()
 
     def f_weight() -> float:
         d = wn.data
@@ -246,7 +241,7 @@ def _grad_case_binarizers(rng: np.random.Generator) -> float:
     tape = Tape()
     out = binarize_activation_pm1(tape, an, q, mode="relaxed")
     out.ensure_grad()[...] = coeffs_a
-    _replay(tape)
+    tape.replay()
 
     def f_pm1() -> float:
         al = float(q.alpha.data[0, 0])
@@ -272,7 +267,7 @@ def _grad_case_binarizers(rng: np.random.Generator) -> float:
     tape = Tape()
     out = binarize_attention_01(tape, tn, q2, mode="relaxed")
     out.ensure_grad()[...] = coeffs_t
-    _replay(tape)
+    tape.replay()
 
     def f_att() -> float:
         al = float(q2.alpha.data[0, 0])

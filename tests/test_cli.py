@@ -93,6 +93,7 @@ def test_pretrain_writes_checkpoint_metrics_manifest_vocab(pretrained_run):
         "masked_acc",
     ]
     assert len(lines) == 3  # header + one line per step
+    assert all(len(line.split("\t")) == 7 for line in lines)
 
     manifest = json.loads((pretrained_run / "manifest.json").read_text())
     assert manifest["command"] == "pretrain"

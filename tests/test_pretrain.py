@@ -476,6 +476,16 @@ def test_finetune_freeze_body_records_no_body_gradient():
     assert all(p.grad is None for _, p in named_parameters(model))
 
 
+@pytest.mark.parametrize("freeze_body", [False, True])
+def test_finetune_aborts_on_non_finite_loss_naming_the_tensor(freeze_body):
+    corpus = toy_corpus()
+    model = build_model(tiny_config(len(corpus.vocab)), seed=1)
+    model.blocks[-1].ln_ffn_gamma.data[0, 0] = np.nan
+    data = encoded_task(corpus.vocab, seed=6, count=12)
+    with pytest.raises(TrainingAbort, match="layer1.ln_ffn.gamma"):
+        finetune(model, data[:8], data[8:], epochs=1, n_classes=2, seed=2, freeze_body=freeze_body)
+
+
 def test_finetune_is_seed_deterministic():
     corpus = toy_corpus()
     data = encoded_task(corpus.vocab, seed=8, count=60)
