@@ -68,14 +68,11 @@ from .numerics import (
 )
 from .quant import (
     ALPHA_FLOOR,
-    BinaryWeight,
     ElasticQuant,
     QuantMode,
-    apply_weight,
     binarize_activation_pm1,
     binarize_attention_01,
     binarize_weight,
-    prepare_weight,
     row_blocks,
     weight_row_scales,
 )
@@ -367,22 +364,17 @@ def binary_linear(
     b: DenseMatrix,
     in_q: ElasticQuant,
     mode: QuantMode = "hard",
-    w_bin: BinaryWeight | None = None,
+    w_b: DenseMatrix | None = None,
 ) -> DenseMatrix:
     """Binarized affine map: two-level input times two-level weights plus bias.
 
-    ``w_bin`` is ``w`` already prepared (transposed, in ``mode``, with
-    backward state when taped), as :func:`bitformer.model.binarize_linears`
-    makes it once per optimizer step: the product reads its shared node,
-    and :func:`~bitformer.quant.backward_weights` runs the binarizer
-    backward later.  Without it ``w`` is binarized here, with a backward on
-    this tape.
+    ``w_b`` is ``w`` already binarized (transposed, in ``mode``) by
+    :func:`bitformer.model.binarize_linears`, its backward on another tape;
+    without it ``w`` is binarized here, with a backward on this tape.
     """
     aq = binarize_activation_pm1(tape, a, in_q, mode)
-    if w_bin is None:
-        w_b = apply_weight(tape, prepare_weight(w, mode, taped=tape is not None, transposed=True))
-    else:
-        w_b = w_bin.node
+    if w_b is None:
+        w_b = binarize_weight(tape, w, mode, transposed=True)
     return add_bias(tape, matmul(tape, aq, w_b), b)
 
 
@@ -413,15 +405,15 @@ def binary_linear_packed(a: Array, w: DenseMatrix, b: DenseMatrix, in_q: Elastic
 class SimOps:
     """Float simulation of every binary product: taped or not, hard or relaxed.
 
-    ``weights`` maps linear weights to their prepared binarization
-    (``binary_linear``'s ``w_bin``); a weight it lacks is binarized per use.
+    ``weights`` maps linear weights to their binarized nodes
+    (``binary_linear``'s ``w_b``); a weight it lacks is binarized per use.
     """
 
     def __init__(
         self,
         tape: Tape | None = None,
         mode: QuantMode = "hard",
-        weights: dict[DenseMatrix, BinaryWeight] | None = None,
+        weights: dict[DenseMatrix, DenseMatrix] | None = None,
     ):
         self.tape, self.mode, self.weights = tape, mode, weights or {}
 
@@ -574,7 +566,7 @@ def attention_forward(
     mode: QuantMode = "hard",
     key_mask: Array | None = None,
     trace: dict | None = None,
-    weights: dict[DenseMatrix, BinaryWeight] | None = None,
+    weights: dict[DenseMatrix, DenseMatrix] | None = None,
 ) -> DenseMatrix:
     """Float-simulated binary attention: :func:`attend` over :class:`SimOps`."""
     return attend(SimOps(tape, mode, weights), a, layer, key_mask, trace)

@@ -77,7 +77,7 @@ from .numerics import (
     matmul,
     transpose,
 )
-from .quant import BinaryWeight, ElasticQuant, QuantMode, prepare_weight
+from .quant import ElasticQuant, QuantMode, binarize_weight
 from .rng import substream
 
 __all__ = [
@@ -457,19 +457,19 @@ def _heads(tape: Tape | None, model: Model, x: DenseMatrix) -> tuple[DenseMatrix
     return mlm, nsp
 
 
-def binarize_linears(model: Model, taped: bool = True) -> dict[DenseMatrix, BinaryWeight]:
+def binarize_linears(model: Model, tape: Tape | None = None) -> dict[DenseMatrix, DenseMatrix]:
     """Every block linear weight binarized once (hard mode), valid until the weights change.
 
     Pass the result as ``weights`` to :func:`forward` or :func:`encode`, which
-    then read these matrices instead of binarizing their own;
-    :func:`~bitformer.pretrain.train_step` shares one across a step's tapes.
-    ``taped=False`` keeps no backward state, for untaped forwards.  A
-    full-precision model binarizes nothing.
+    then read these nodes instead of binarizing their own.  Their binarizer
+    backwards are recorded on ``tape`` (:func:`~bitformer.pretrain.train_step`);
+    without one they keep no backward state.  A full-precision model
+    binarizes nothing.
     """
     if model.config.full_precision:
         return {}
     return {
-        w: prepare_weight(w, "hard", taped, transposed=True)
+        w: binarize_weight(tape, w, transposed=True)
         for blk in model.blocks
         for w in _block_linears(blk)
     }
@@ -482,7 +482,7 @@ def encode(
     pad_mask=None,
     tape: Tape | None = None,
     mode: QuantMode = "hard",
-    weights: dict[DenseMatrix, BinaryWeight] | None = None,
+    weights: dict[DenseMatrix, DenseMatrix] | None = None,
 ) -> list[DenseMatrix]:
     """Per-depth hidden states of :func:`forward`, without computing the heads."""
     if weights and mode != "hard":
@@ -498,7 +498,7 @@ def forward(
     pad_mask=None,
     tape: Tape | None = None,
     mode: QuantMode = "hard",
-    weights: dict[DenseMatrix, BinaryWeight] | None = None,
+    weights: dict[DenseMatrix, DenseMatrix] | None = None,
 ) -> ForwardResult:
     """Float-simulated forward over one sequence (rows = positions).
 

@@ -37,7 +37,6 @@ from .numerics import (
     linear_warmup_schedule,
     scale,
 )
-from .quant import BinaryWeight, backward_weights
 from .rng import substream
 
 Array = np.ndarray
@@ -209,7 +208,7 @@ def train_step(
     model: Model,
     opt: AdamW,
     items: Sequence,
-    loss_of: Callable[[Tape, dict[DenseMatrix, BinaryWeight], object], DenseMatrix],
+    loss_of: Callable[[Tape, dict[DenseMatrix, DenseMatrix], object], DenseMatrix],
     lr: float | None = None,
     *,
     freeze_body: bool = False,
@@ -218,29 +217,30 @@ def train_step(
     """One optimizer step on the mean of ``loss_of(tape, weights, item)`` over ``items``.
 
     The block linear weights change only at the update, so they are
-    binarized once (:func:`~bitformer.model.binarize_linears`) and every
-    item's fresh tape reads and adds its gradient into the same matrices.
-    After the last tape the binarizer backward runs once per weight on that
-    sum (:func:`~bitformer.quant.backward_weights`), before the update,
-    since it reads the signs of the weights the update changes.  The
-    backward is linear in its gradient, so this differs from binarizing per
-    item only in summation order, and a step is deterministic for given
-    inputs.  A non-finite loss raises :class:`TrainingAbort` naming the
-    first non-finite parameter, else the first non-finite entry of
-    ``terms`` (loss sums that ``loss_of`` keeps), else ``loss``.
+    binarized once (:func:`~bitformer.model.binarize_linears`) onto a weight
+    tape, and every item's fresh tape adds its gradient into the same nodes.
+    Replaying the weight tape then runs the binarizer backward once per
+    weight on that sum, before the update, since it reads the signs of the
+    weights the update changes.  The backward is linear in its gradient, so
+    this differs from binarizing per item only in summation order, and a
+    step is deterministic for given inputs.  A non-finite loss raises
+    :class:`TrainingAbort` naming the first non-finite parameter, else the
+    first non-finite entry of ``terms`` (loss sums that ``loss_of`` keeps),
+    else ``loss``.
     ``freeze_body`` is for an untaped body: its weights keep no backward
     state and its binarizer levels are not projected.
     """
     opt.zero_grad()
-    weights = binarize_linears(model, taped=not freeze_body)
+    weight_tape = Tape()
+    weights = binarize_linears(model, None if freeze_body else weight_tape)
     for item in items:
         tape = Tape()
         loss = loss_of(tape, weights, item)
         if not math.isfinite(float(loss.data[0, 0])):
             raise TrainingAbort(_first_non_finite(model, terms or {}))
         tape.backward(scale(tape, loss, 1.0 / len(items)))
-    backward_weights(weights.values())
-    weights = tape = None  # drop this step's binarized weights before the update's temporaries
+    weight_tape.replay()
+    weights = tape = weight_tape = None  # free them before the update's temporaries
     opt.step(lr=lr)
     if not freeze_body:
         project_binarizer_levels(model)
@@ -440,7 +440,7 @@ def finetune(
             train_step(model, opt, order[start : start + batch_size], loss_of, freeze_body=freeze_body)
 
     correct = 0
-    weights = binarize_linears(model, taped=False)
+    weights = binarize_linears(model)
     for (tokens, segs), label in eval_examples:
         logits = _classifier_logits(None, model, tokens, segs, weights, head_w, head_b)
         correct += int(int(np.argmax(logits.data[0])) == label)

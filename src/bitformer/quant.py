@@ -6,9 +6,9 @@ Three binarizers cover the whole model:
   (sign(0) = +1), scale by the row's mean absolute value.  Each output row
   holds at most the two values ±scale.  It is ``prepare_weight`` (the
   forward, once per weight value) followed by ``apply_weight`` (one tape
-  node per use, with its own backward).  Tapes that read a preparation's
-  shared ``node`` instead sum their gradients in its ``.grad``, and
-  ``backward_weights`` runs the binarizer backward once on that sum (see
+  node with its own backward).  A node read by many tapes sums their
+  gradients in its ``.grad``, and replaying the tape that recorded it runs
+  the binarizer backward once on that sum (see
   :func:`bitformer.pretrain.train_step`).
 * ``binarize_activation_pm1`` — elastic two-level activations
   ``alpha * sign(a - beta)`` with a trainable level and threshold.
@@ -30,9 +30,8 @@ differencing uses — while the backward closures are identical in both modes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
-from functools import partial
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -104,10 +103,7 @@ class BinaryWeight:
     ``transposed`` is set, as a linear layer multiplies by it.  The backward
     state is the row scales, the unit window on the centered values (a bool
     array) and those values clipped to [-1, 1]; an untaped preparation
-    carries none of it.  ``node`` is ``value`` as one tape node shared by
-    every use: the gradients of all of them sum into its ``.grad`` until
-    :func:`backward_weights` carries that sum to ``w``.  It stays valid
-    while ``w.data`` is unchanged.
+    carries none of it.  It stays valid while ``w.data`` is unchanged.
     """
 
     w: DenseMatrix
@@ -116,10 +112,6 @@ class BinaryWeight:
     scales: Array | None = None
     window: Array | None = None
     clipped: Array | None = None
-    node: DenseMatrix = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.node = DenseMatrix(self.value)
 
 
 def row_blocks(x: Array) -> list[slice]:
@@ -166,11 +158,6 @@ def prepare_weight(
     return BinaryWeight(w, value, transposed, scales, window, clipped)
 
 
-def _check_taped(bw: BinaryWeight) -> None:
-    if bw.window is None:
-        raise ValueError(f"weight {bw.w.name!r} was binarized without backward state")
-
-
 def _weight_backward(bw: BinaryWeight, g: Array | None) -> None:
     """Add to ``bw.w.grad`` the surrogate gradient for ``g``, a gradient of ``bw.value``.
 
@@ -199,36 +186,22 @@ def _weight_backward(bw: BinaryWeight, g: Array | None) -> None:
 def apply_weight(tape: Tape | None, bw: BinaryWeight) -> DenseMatrix:
     """The prepared matrix as a tape node of its own whose backward reaches ``bw.w``.
 
-    The node shares ``bw.value`` and records the binarizer backward for this
-    one use; a per-use binarization (embedding rows, relaxed mode, a weight
-    with no preparation) takes this route.
+    The node shares ``bw.value``; its one backward runs on the sum of the
+    gradients its uses left in ``.grad``, however many tapes they were on.
     """
     out = DenseMatrix(bw.value)
     if tape is not None:
-        _check_taped(bw)
+        if bw.window is None:
+            raise ValueError(f"weight {bw.w.name!r} was binarized without backward state")
         tape.record("binarize_weight", lambda: _weight_backward(bw, out.grad))
     return out
 
 
-def backward_weights(weights: Iterable[BinaryWeight]) -> None:
-    """The binarizer backward once per prepared weight, on the gradient its ``node`` summed.
-
-    Run it after the last tape that read the nodes and before the optimizer
-    update: the backward reads ``sign(w.data)``.  Each weight's backward is
-    recorded as one ``binarize_weight`` op on a fresh tape, which is then
-    replayed; a node no tape reached is skipped.
-    """
-    tape = Tape()
-    for bw in weights:
-        if bw.node.grad is not None:
-            _check_taped(bw)
-            tape.record("binarize_weight", partial(_weight_backward, bw, bw.node.grad))
-    tape.replay()
-
-
-def binarize_weight(tape: Tape | None, w: DenseMatrix, mode: QuantMode = "hard") -> DenseMatrix:
-    """Binarize ``w`` for one use: :func:`prepare_weight` then :func:`apply_weight`."""
-    return apply_weight(tape, prepare_weight(w, mode, taped=tape is not None))
+def binarize_weight(
+    tape: Tape | None, w: DenseMatrix, mode: QuantMode = "hard", transposed: bool = False
+) -> DenseMatrix:
+    """Binarize ``w``: :func:`prepare_weight` then :func:`apply_weight`."""
+    return apply_weight(tape, prepare_weight(w, mode, tape is not None, transposed))
 
 
 def _slice_params(

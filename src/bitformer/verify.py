@@ -122,8 +122,8 @@ def check_ternary_trick(seed: int = 0, instances: int = 500, max_dim: int = 96) 
 # --------------------------------------------------------------------------
 
 
-def _fd_grad(f: Callable[[], float], param: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central differences of f in every entry of param (mutated in place)."""
+def _fd_grad(f: Callable[[], float], param: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central differences of f in each entry of param (mutated in place); 1e-5 limits round-off."""
     g = np.zeros_like(param)
     flat, gflat = param.reshape(-1), g.reshape(-1)
     for i in range(flat.size):

@@ -297,20 +297,20 @@ def estimator_factors(est) -> list:
 
 def _add_binarized_grads(sums: dict, weights: dict) -> None:
     """Add each binarized matrix's gradient into its running sum (zeros at first)."""
-    for w, bw in weights.items():
+    for w, node in weights.items():
         if w not in sums:
-            sums[w] = (bw, np.zeros(bw.value.shape))
-        sums[w][1][...] += bw.node.grad
+            sums[w] = np.zeros(node.data.shape)
+        sums[w][...] += node.grad
 
 
 def _binarizer_backward_once(sums: dict) -> None:
     """One per-use binarizer backward per weight, fed its summed gradient."""
     from bitformer.numerics import Tape
-    from bitformer.quant import apply_weight
+    from bitformer.quant import apply_weight, prepare_weight
 
     tape = Tape()
-    for bw, total in sums.values():
-        apply_weight(tape, bw).grad = total
+    for w, total in sums.items():
+        apply_weight(tape, prepare_weight(w, transposed=True)).grad = total
     for _, fn in tape.ops:
         fn()
     sums.clear()
@@ -363,7 +363,7 @@ def per_sequence_pretrain(
             tokens, segs = batch.token_ids[row, keep], batch.segment_ids[row, keep]
             labels = batch.mlm_labels[row, keep]
             tape = Tape()
-            weights = binarize_linears(model)
+            weights = binarize_linears(model, Tape())
             res = forward(model, tokens, segs, tape=tape, weights=weights)
             l_mlm = cross_entropy(tape, res.mlm_logits, labels)
             l_nsp = cross_entropy(tape, res.nsp_logits, batch.nsp_labels[row : row + 1])
@@ -435,7 +435,7 @@ def per_example_finetune(
             for idx in chunk:
                 (tokens, segs), label = train[int(idx)]
                 tape = Tape()
-                weights = binarize_linears(model)
+                weights = binarize_linears(model, Tape())
                 loss = cross_entropy(tape, logits(tape, tokens, segs, weights), np.array([label]))
                 tape.backward(scale(tape, loss, 1.0 / len(chunk)))
                 _add_binarized_grads(binarized, weights)

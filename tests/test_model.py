@@ -616,7 +616,7 @@ def test_prepared_weights_are_refused_by_a_relaxed_forward():
     model = build_model(tiny_config(), seed=0)
     ids = np.array([2, 7, 8, 3])
     assert np.array_equal(
-        forward(model, ids, weights=binarize_linears(model, taped=False)).mlm_logits.data,
+        forward(model, ids, weights=binarize_linears(model)).mlm_logits.data,
         forward(model, ids).mlm_logits.data,
     )
     with pytest.raises(ValueError, match="hard-mode"):

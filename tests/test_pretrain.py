@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -316,7 +317,7 @@ def test_finetune_matches_the_per_example_reference_bitwise():
 
 
 def test_each_block_linear_is_binarized_once_per_step(monkeypatch):
-    from bitformer import binattn, model as model_module, quant
+    from bitformer import quant
 
     corpus = toy_corpus()
     model = build_model(tiny_config(len(corpus.vocab)), seed=2)
@@ -332,8 +333,7 @@ def test_each_block_linear_is_binarized_once_per_step(monkeypatch):
         prepared.append(w.name)
         return real(w, *args, **kwargs)
 
-    for module in (quant, binattn, model_module):
-        monkeypatch.setattr(module, "prepare_weight", counting)
+    monkeypatch.setattr(quant, "prepare_weight", counting)
     pretrain_loop(model, corpus, steps=1, batch_size=4, seed=3)
     assert len(linears) == 6 * model.config.layers
     assert sorted(n for n in prepared if n in linears) == sorted(linears)
@@ -356,7 +356,7 @@ def test_deferred_binarizer_backward_moves_only_rounding(monkeypatch):
 
     def step_grads(per_sequence: bool):
         if per_sequence:  # every forward without prepared weights binarizes on its own tape
-            monkeypatch.setattr(pretrain, "binarize_linears", lambda model, taped=True: {})
+            monkeypatch.setattr(pretrain, "binarize_linears", lambda model, tape=None: {})
         grads = {}
 
         def capture(opt, lr=None):
@@ -424,6 +424,32 @@ def test_finetune_runs_each_block_weight_backward_once_per_chunk(monkeypatch):
     finetune(model, data[:20], data[20:], epochs=2, n_classes=2, seed=4, lr=1e-3, batch_size=8)
     # 2 epochs of 3 chunks (8 + 8 + 4 examples); evaluation runs untaped
     assert counts == {"other": 2 * 20 * 3, **{w.name: 2 * 3 for w in linears}}
+
+
+def test_a_steps_binarized_weights_are_freed_before_the_update(monkeypatch):
+    """The update's temporaries never coexist with the step's binarizer backward state."""
+    from bitformer import numerics, quant
+
+    prepared, alive_at_update = [], []
+    real_prepare, real_step = quant.prepare_weight, numerics.AdamW.step
+
+    def tracking(*args, **kwargs):
+        bw = real_prepare(*args, **kwargs)
+        prepared.append(weakref.ref(bw))
+        return bw
+
+    def step(opt, lr=None):
+        alive_at_update.append(sum(ref() is not None for ref in prepared))
+        real_step(opt, lr=lr)
+
+    monkeypatch.setattr(quant, "prepare_weight", tracking)
+    monkeypatch.setattr(numerics.AdamW, "step", step)
+    corpus = toy_corpus()
+    model = build_model(tiny_config(len(corpus.vocab)), seed=2)
+    pretrain_loop(model, corpus, steps=2, batch_size=3, seed=3)
+    data = encoded_task(corpus.vocab, seed=8, count=12)
+    finetune(model, data[:8], data[8:], epochs=1, n_classes=2, seed=4, lr=1e-3, batch_size=4)
+    assert prepared and alive_at_update == [0] * 4
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from bitformer.quant import (
     ElasticQuant,
     QuantError,
     apply_weight,
-    backward_weights,
     binarize_activation_pm1,
     binarize_attention_01,
     binarize_weight,
@@ -170,25 +169,24 @@ def test_untaped_weight_preparation_refuses_a_tape():
     assert apply_weight(None, prepared).data is prepared.value
     with pytest.raises(ValueError, match="backward state"):
         apply_weight(Tape(), prepared)
-    prepared.node.grad = np.ones((3, 4))
-    with pytest.raises(ValueError, match="backward state"):
-        backward_weights([prepared])
 
 
 def test_deferred_weight_backward_is_the_per_use_backward_of_the_summed_gradient():
     w = DenseMatrix(RNG.normal(size=(5, 7)))
     uses = [RNG.normal(size=(7, 5)) for _ in range(3)]
-    shared = prepare_weight(w, transposed=True)
-    unused = prepare_weight(DenseMatrix(w.data), transposed=True)
-    for g in uses:
-        shared.node.ensure_grad()[...] += g
-    backward_weights([shared, unused])
+    unused_w = DenseMatrix(w.data.copy())
+    weight_tape = Tape()
+    shared = apply_weight(weight_tape, prepare_weight(w, transposed=True))
+    apply_weight(weight_tape, prepare_weight(unused_w, transposed=True))
+    for g in uses:  # each use's tape adds its gradient into the one node
+        shared.ensure_grad()[...] += g
+    weight_tape.replay()
     got, w.grad = w.grad, None
     tape = Tape()
     apply_weight(tape, prepare_weight(w, transposed=True)).grad = uses[0] + uses[1] + uses[2]
     tape.replay()
     assert same_bits(got, w.grad)
-    assert unused.w.grad is None  # a node no use reached runs no backward
+    assert unused_w.grad is None  # a node no use reached runs no backward
 
 
 # --------------------------------------------------------------------------

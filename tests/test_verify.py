@@ -7,6 +7,7 @@ the acceptance suite runs the same checks at their full defaults.
 import numpy as np
 import pytest
 
+from bitformer import quant
 from bitformer.verify import (
     ALL_CHECKS,
     CheckResult,
@@ -43,6 +44,22 @@ def test_gradients_check_passes_and_reports_error():
 
 def test_gradients_check_other_seed():
     assert check_gradients(seed=3).passed
+
+
+def test_gradients_check_passes_at_every_seed_from_0_to_39():
+    failed = [(seed, res.detail) for seed in range(40) if not (res := check_gradients(seed=seed)).passed]
+    assert failed == []
+
+
+@pytest.mark.parametrize("seed", [0, 8])
+def test_gradients_check_fails_on_a_backward_off_by_a_part_in_a_thousand(monkeypatch, seed):
+    real = quant._weight_backward
+
+    def off(bw, g):
+        real(bw, None if g is None else g * (1.0 + 1e-3))
+
+    monkeypatch.setattr(quant, "_weight_backward", off)
+    assert not check_gradients(seed=seed).passed
 
 
 def test_exact_recovery_passes_on_reduced_budget():
