@@ -39,6 +39,12 @@ sets:
 
 Padded keys get a large negative score bias and are gated out of the
 selection, so no threshold can select them.
+
+The untaped hard routes (:class:`SimOps` without a tape, and
+:class:`PackedOps`) binarize each projection weight once per weight value:
+they read its sign bits and row scales from
+:func:`~bitformer.quant.weight_bits`, which makes the weight's ``data``
+read-only, so an in-place write raises rather than leave the bits stale.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bitkernel import PackedBitMatrix, binary_gemm, pack_signs, ternary_binary_gemm
+from .bitkernel import binary_gemm, pack_signs, ternary_binary_gemm
 from .numerics import (
     Array,
     DenseMatrix,
@@ -73,8 +79,7 @@ from .quant import (
     binarize_activation_pm1,
     binarize_attention_01,
     binarize_weight,
-    row_blocks,
-    weight_row_scales,
+    weight_bits,
 )
 
 __all__ = [
@@ -370,11 +375,17 @@ def binary_linear(
 
     ``w_b`` is ``w`` already binarized (transposed, in ``mode``) by
     :func:`bitformer.model.binarize_linears`, its backward on another tape;
-    without it ``w`` is binarized here, with a backward on this tape.
+    without it ``w`` is binarized here, with a backward on this tape.  An
+    untaped hard call builds the two-level matrix from the bits that
+    :func:`~bitformer.quant.weight_bits` keeps on ``w``, bitwise what
+    binarizing here would give.
     """
     aq = binarize_activation_pm1(tape, a, in_q, mode)
     if w_b is None:
-        w_b = binarize_weight(tape, w, mode, transposed=True)
+        if tape is None and mode == "hard":
+            w_b = DenseMatrix(weight_bits(w).value_t())
+        else:
+            w_b = binarize_weight(tape, w, mode, transposed=True)
     return add_bias(tape, matmul(tape, aq, w_b), b)
 
 
@@ -390,23 +401,19 @@ def _pack_shifted(x: Array, q: ElasticQuant):
 def binary_linear_packed(a: Array, w: DenseMatrix, b: DenseMatrix, in_q: ElasticQuant) -> Array:
     """Packed-kernel twin of :func:`binary_linear` (hard mode).
 
-    The weight's centered sign bits and row scales are taken in one pass
-    over cache-sized row blocks.
+    The weight's sign bits and row scales are the ones
+    :func:`~bitformer.quant.weight_bits` keeps on ``w``.
     """
-    words, scales = [], []
-    for rows in row_blocks(w.data):
-        block = w.data[rows]
-        scales.append(weight_row_scales(block))
-        words.append(pack_signs(block - block.mean(axis=1, keepdims=True)).words)
-    bits_w = PackedBitMatrix(w.rows, w.cols, np.concatenate(words))
-    return binary_gemm(_pack_shifted(a, in_q), bits_w, _level(in_q) * np.concatenate(scales)).data + b.data
+    wb = weight_bits(w)
+    return binary_gemm(_pack_shifted(a, in_q), wb.bits, _level(in_q) * wb.scales).data + b.data
 
 
 class SimOps:
     """Float simulation of every binary product: taped or not, hard or relaxed.
 
     ``weights`` maps linear weights to their binarized nodes
-    (``binary_linear``'s ``w_b``); a weight it lacks is binarized per use.
+    (``binary_linear``'s ``w_b``); a weight it lacks is binarized per use,
+    or, untaped and hard, read from its cached bits.
     """
 
     def __init__(

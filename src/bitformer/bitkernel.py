@@ -55,17 +55,21 @@ class PackedBitMatrix:
         return self.words.shape[1]
 
 
-def pack_signs(x: Array) -> PackedBitMatrix:
-    """Pack sign bits of a 2-D array; bit 1 where x >= 0 (so sign(0) = +1)."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError(f"pack_signs needs a 2-D array, got shape {x.shape}")
-    rows, cols = x.shape
+def pack_bits(bits: Array) -> PackedBitMatrix:
+    """Pack a 2-D boolean array along its rows; bit 1 where True."""
+    if bits.ndim != 2:
+        raise ValueError(f"packing needs a 2-D array, got shape {bits.shape}")
+    rows, cols = bits.shape
     if cols == 0:
         raise ValueError("cannot pack zero columns")
     words = np.zeros((rows, -(-cols // WORD_BITS)), dtype="<u8")
-    words.view(np.uint8)[:, : -(-cols // 8)] = np.packbits(x >= 0, axis=1, bitorder="little")
+    words.view(np.uint8)[:, : -(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
     return PackedBitMatrix(rows=rows, cols=cols, words=words)
+
+
+def pack_signs(x: Array) -> PackedBitMatrix:
+    """Pack sign bits of a 2-D array; bit 1 where x >= 0 (so sign(0) = +1)."""
+    return pack_bits(np.asarray(x) >= 0)
 
 
 def unpack_signs(p: PackedBitMatrix) -> Array:

@@ -22,9 +22,15 @@ projections and the attention products:
   :func:`forward` to float accuracy.
 * :func:`encode` — the hidden states of :func:`forward` without the heads.
 
-:func:`binarize_linears` binarizes every block linear weight once, for the
-forwards that take it as ``weights``; :func:`~bitformer.pretrain.train_step`
-states how a training step uses it.
+:func:`binarize_linears` binarizes every block linear weight once onto a
+tape, for the taped forwards that take it as ``weights``;
+:func:`~bitformer.pretrain.train_step` states how a training step uses it.
+Untaped hard forwards (:func:`forward` without a tape, :func:`forward_packed`)
+binarize each block weight once per weight value instead: the sign bits and
+row scales are cached on the weight (:func:`~bitformer.quant.weight_bits`),
+which makes its ``data`` read-only.  An in-place write to a cached weight
+raises; the optimizer step, rebinding ``data``, a deep copy and a checkpoint
+load are the ways to change weights.
 
 Every trainable tensor is declared once, with its name, shape and init, in
 ``_declare`` (the attention layer's part in
@@ -457,13 +463,14 @@ def _heads(tape: Tape | None, model: Model, x: DenseMatrix) -> tuple[DenseMatrix
     return mlm, nsp
 
 
-def binarize_linears(model: Model, tape: Tape | None = None) -> dict[DenseMatrix, DenseMatrix]:
+def binarize_linears(model: Model, tape: Tape) -> dict[DenseMatrix, DenseMatrix]:
     """Every block linear weight binarized once (hard mode), valid until the weights change.
 
     Pass the result as ``weights`` to :func:`forward` or :func:`encode`, which
     then read these nodes instead of binarizing their own.  Their binarizer
-    backwards are recorded on ``tape`` (:func:`~bitformer.pretrain.train_step`);
-    without one they keep no backward state.  A full-precision model
+    backwards are recorded on ``tape`` (:func:`~bitformer.pretrain.train_step`).
+    An untaped forward needs no such snapshot: it reads each weight's cached
+    bits (:func:`~bitformer.quant.weight_bits`).  A full-precision model
     binarizes nothing.
     """
     if model.config.full_precision:

@@ -13,7 +13,9 @@ ordinary closures next to everything else.  ``matmul``, ``transpose`` and
 a stack.
 
 Passing ``tape=None`` runs any op forward-only, which is what inference and
-the packed-kernel comparisons use.
+the packed-kernel comparisons use.  ``TAPE_OPS`` names every op a tape may
+record, here and in :mod:`bitformer.quant` and :mod:`bitformer.pretrain`;
+``Tape.record`` refuses any other name.
 """
 
 from __future__ import annotations
@@ -24,6 +26,19 @@ import numpy as np
 
 Array = np.ndarray
 
+TAPE_OPS = frozenset(
+    {
+        # numerics
+        "matmul", "affine", "transpose", "add", "add_bias", "scale", "add_constant", "gather_rows",
+        "slice_cols", "split_heads", "merge_heads", "add_slices", "softmax_rows", "layer_norm", "gelu",
+        "cross_entropy",
+        # quant
+        "binarize_weight", "binarize_activation_pm1", "binarize_attention_01",
+        # pretrain
+        "kl_to_teacher", "hidden_mse",
+    }
+)
+
 
 class DenseMatrix:
     """A float64 matrix (2-D) or stack of matrices (3-D) with a lazily allocated gradient buffer.
@@ -31,9 +46,16 @@ class DenseMatrix:
     ``rows`` and ``cols`` are the last two axes.  Gradients accumulate
     additively across backward passes and are cleared only by an explicit
     :meth:`zero_grad`.
+
+    ``cache`` holds what :func:`bitformer.quant.weight_bits` derives from
+    ``data`` (a block weight's sign bits and row scales).  Caching makes
+    ``data`` read-only, so an in-place write to it raises numpy's
+    "assignment destination is read-only" error; :meth:`AdamW.step` makes
+    its parameters writable again before it updates them.  Rebinding
+    ``data`` to another array is always allowed; the next use recomputes.
     """
 
-    __slots__ = ("data", "grad", "name")
+    __slots__ = ("data", "grad", "name", "cache")
 
     def __init__(self, data, name: str = ""):
         arr = np.asarray(data, dtype=np.float64)
@@ -42,6 +64,7 @@ class DenseMatrix:
         self.data: Array = np.ascontiguousarray(arr)
         self.grad: Array | None = None
         self.name = name
+        self.cache = None
 
     @property
     def rows(self) -> int:
@@ -73,6 +96,8 @@ class Tape:
         self.ops: list[tuple[str, Callable[[], None]]] = []
 
     def record(self, name: str, backward: Callable[[], None]) -> None:
+        if name not in TAPE_OPS:
+            raise ValueError(f"unregistered tape op {name!r}; add it to numerics.TAPE_OPS")
         self.ops.append((name, backward))
 
     def backward(self, loss: DenseMatrix) -> None:
@@ -509,6 +534,7 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(g)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data.flags.writeable = True  # an evaluation forward may have frozen it
             p.data -= lr * update
             if self.weight_decay:
                 p.data -= lr * self.weight_decay * p.data

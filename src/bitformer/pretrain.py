@@ -227,12 +227,13 @@ def train_step(
     :class:`TrainingAbort` naming the first non-finite parameter, else the
     first non-finite entry of ``terms`` (loss sums that ``loss_of`` keeps),
     else ``loss``.
-    ``freeze_body`` is for an untaped body: its weights keep no backward
-    state and its binarizer levels are not projected.
+    ``freeze_body`` is for an untaped body: it gets no weight nodes, so its
+    forwards read each weight's cached bits, and its binarizer levels are
+    not projected.
     """
     opt.zero_grad()
     weight_tape = Tape()
-    weights = binarize_linears(model, None if freeze_body else weight_tape)
+    weights = {} if freeze_body else binarize_linears(model, weight_tape)
     for item in items:
         tape = Tape()
         loss = loss_of(tape, weights, item)
@@ -440,9 +441,8 @@ def finetune(
             train_step(model, opt, order[start : start + batch_size], loss_of, freeze_body=freeze_body)
 
     correct = 0
-    weights = binarize_linears(model)
     for (tokens, segs), label in eval_examples:
-        logits = _classifier_logits(None, model, tokens, segs, weights, head_w, head_b)
+        logits = _classifier_logits(None, model, tokens, segs, None, head_w, head_b)
         correct += int(int(np.argmax(logits.data[0])) == label)
     accuracy = correct / len(eval_examples) if eval_examples else 0.0
     return FinetuneResult(accuracy=accuracy, head_w=head_w.data, head_b=head_b.data)

@@ -19,6 +19,13 @@ Three binarizers cover the whole model:
 Both activation binarizers also take a stack of matrices (an attention
 layer's heads) with one binarizer per slice.
 
+Evaluation forwards read a weight's hard binarization from
+:func:`weight_bits`, which keeps it on the weight as sign bits and row
+scales, computed once per weight value.  The cache freezes the weight: its
+``data`` becomes read-only, so an in-place write raises instead of leaving
+stale bits, and rebinding ``data`` (or a copy of the model) recomputes it.
+Training never reads the cache; it binarizes through :func:`prepare_weight`.
+
 Hard forwards are step functions, so every binarizer declares a clip
 surrogate and its backward closure is the exact almost-everywhere gradient of
 that surrogate; gradient tests difference the surrogate, not the step.  The
@@ -36,6 +43,7 @@ from typing import Literal
 
 import numpy as np
 
+from .bitkernel import PackedBitMatrix, pack_bits
 from .numerics import Array, DenseMatrix, Tape
 
 QuantMode = Literal["hard", "relaxed"]
@@ -156,6 +164,64 @@ def prepare_weight(
     if not taped:
         return BinaryWeight(w, value, transposed)
     return BinaryWeight(w, value, transposed, scales, window, clipped)
+
+
+@dataclass
+class WeightBits:
+    """A weight's hard binarization as bits: what :func:`prepare_weight` holds as floats.
+
+    ``bits`` are the signs of ``w - rowmean(w)`` in the (out, in) layout,
+    packed along ``in``, as the packed kernels read them; ``bits_t`` are the
+    same signs in the (in, out) layout, packed along ``out``, as the
+    simulated route multiplies by them.  ``source`` is the read-only array
+    they were computed from.
+    """
+
+    source: Array
+    bits: PackedBitMatrix
+    bits_t: PackedBitMatrix
+    scales: Array  # (out,) mean |row|
+
+    def value_t(self) -> Array:
+        """The (in, out) two-level matrix ``(2 bit - 1) * scale``.
+
+        It is bitwise ``prepare_weight(w, taped=False, transposed=True).value``.
+        """
+        words = self.bits_t.words.view(np.uint8)
+        bits = np.unpackbits(words, axis=1, count=self.bits_t.cols, bitorder="little")
+        levels = np.multiply(bits, 2.0, dtype=np.float64)
+        levels -= 1.0
+        levels *= self.scales
+        return levels
+
+
+def weight_bits(w: DenseMatrix) -> WeightBits:
+    """The hard binarization of ``w``, computed once per weight value and kept in ``w.cache``.
+
+    Caching makes ``w.data`` read-only.  The kept value is used only while
+    ``w.data`` is the very array it was computed from and that array is
+    still read-only: :meth:`~bitformer.numerics.AdamW.step` makes its
+    parameters writable again before it updates them, and rebinding
+    ``w.data``, ``copy.deepcopy`` and :func:`~bitformer.model.load_model`
+    all give a new array, so the next call recomputes.  Any other in-place
+    write to ``w.data`` raises.  The one hole: a write through a view of
+    the array taken before it was frozen (or through the array that
+    ``w.data`` is itself a view of) still succeeds, and leaves the kept
+    bits stale.
+    """
+    entry = w.cache
+    data = w.data
+    if entry is not None and entry.source is data and not data.flags.writeable:
+        return entry
+    signs = np.empty(data.shape, dtype=bool)
+    scales = np.empty(data.shape[0])
+    for rows in row_blocks(data):
+        block = data[rows]
+        np.greater_equal(block - block.mean(axis=1, keepdims=True), 0.0, out=signs[rows])
+        scales[rows] = weight_row_scales(block)
+    data.flags.writeable = False
+    w.cache = WeightBits(data, pack_bits(signs), pack_bits(signs.T), scales)
+    return w.cache
 
 
 def _weight_backward(bw: BinaryWeight, g: Array | None) -> None:

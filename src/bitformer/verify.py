@@ -18,7 +18,7 @@ import numpy as np
 
 from .binattn import head_rank_blocks, score_residual, zero_estimators
 from .bitkernel import binary_accumulate, pack_signs, ternary_accumulate
-from .model import ModelConfig, build_model, forward, forward_packed, model_binarizers
+from .model import ModelConfig, build_model, forward, forward_packed, model_binarizers, named_parameters
 from .numerics import (
     DenseMatrix,
     Tape,
@@ -44,6 +44,7 @@ from .quant import (
     binarize_activation_pm1,
     binarize_attention_01,
     binarize_weight,
+    prepare_weight,
 )
 from .rng import substream
 
@@ -361,13 +362,29 @@ def _jitter_binarizers(model, rng: np.random.Generator) -> None:
         q.beta.data[0, 0] += float(rng.normal(0.0, 0.05))
 
 
+def _cache_matches_prepare_weight(w: DenseMatrix) -> bool:
+    """Whether the bits and scales cached on ``w`` are those of an independent :func:`prepare_weight`."""
+    want = prepare_weight(w, transposed=True)
+    return (
+        np.array_equal(w.cache.scales, want.scales[:, 0])
+        and np.array_equal(w.cache.value_t(), want.value)
+        and np.array_equal(w.cache.bits.words, pack_signs(want.value.T).words)
+    )
+
+
 def check_train_eval_agreement(seed: int = 0, instances: int = 20) -> CheckResult:
-    """Float-simulated and packed-kernel forwards agree on every logit."""
+    """Float-simulated and packed-kernel forwards agree on every logit.
+
+    Both routes read each block weight's cached bits, so their agreement
+    alone cannot catch a wrong cache: every cached weight is also checked
+    against an independent :func:`prepare_weight`.
+    """
     rng = substream(seed, "verify-agree")
     cfg = ModelConfig(
         layers=2, hidden=16, heads=2, ffn=32, max_seq=16, vocab=37, variant="bipft_b", rank=2
     ).validate()
     worst = 0.0
+    cached = []
     model = None
     for i in range(instances):
         if i % 5 == 0:
@@ -384,10 +401,17 @@ def check_train_eval_agreement(seed: int = 0, instances: int = 20) -> CheckResul
             float(np.abs(sim.mlm_logits.data - packed.mlm_logits).max()),
             float(np.abs(sim.nsp_logits.data - packed.nsp_logits).max()),
         )
+        if i % 5 == 0:
+            cached += [p for _, p in named_parameters(model) if p.cache is not None]
+    bad = sum(not _cache_matches_prepare_weight(w) for w in cached)
+    expected = 6 * cfg.layers * -(-instances // 5)
     return CheckResult(
         name="train-eval-agreement",
-        passed=worst < 1e-8,
-        detail=f"{instances} inputs, max |logit diff| = {worst:.2e}",
+        passed=worst < 1e-8 and bad == 0 and len(cached) == expected,
+        detail=(
+            f"{instances} inputs, max |logit diff| = {worst:.2e}; "
+            f"{len(cached)} cached weights, {bad} unlike prepare_weight"
+        ),
     )
 
 

@@ -205,7 +205,7 @@ def _concat_cols(tape, parts):
                 for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
                     p.ensure_grad()[...] += out.grad[:, lo:hi]
 
-        tape.record("concat_cols", bwd)
+        tape.record("merge_heads", bwd)  # the per-head loop's form of the stack's merge
     return out
 
 
@@ -288,6 +288,15 @@ def per_head_attend(ops, a, layer, key_mask=None, trace=None):
             trace["att"].append(att.data.copy())
             trace["att_selected"].append((sel.data != 0.0).astype(np.float64))
     return ops.linear(_concat_cols(tape, ctx_parts), layer.wo, layer.bo, layer.in_o)
+
+
+def block_linears(model) -> list:
+    """The six binarized projection weights of every block, in block order."""
+    return [
+        w
+        for blk in model.blocks
+        for w in (blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo, blk.ffn.w1, blk.ffn.w2)
+    ]
 
 
 def estimator_factors(est) -> list:

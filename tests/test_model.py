@@ -12,6 +12,7 @@ inventory agrees with the cost-accounting formulas.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import fields, replace
 from pathlib import Path
@@ -41,9 +42,9 @@ from bitformer.model import (
     parameter_inventory,
     save_checkpoint,
 )
-from bitformer.numerics import Tape, cross_entropy, add
+from bitformer.numerics import AdamW, Tape, add, cross_entropy
 
-from oracles import estimator_factors, full_precision_encoder
+from oracles import block_linears, estimator_factors, full_precision_encoder
 
 TINY = dict(layers=2, hidden=8, heads=2, ffn=16, max_seq=12, vocab=11)
 
@@ -221,6 +222,63 @@ def test_packed_forward_matches_float_simulation(variant, rank):
     assert np.max(np.abs(sim.mlm_logits.data - packed.mlm_logits)) < 1e-8
     assert np.max(np.abs(sim.nsp_logits.data - packed.nsp_logits)) < 1e-8
     assert len(packed.hidden_states) == cfg.layers + 1
+
+
+# --------------------------------------------------------------------------
+# cached weight bits: frozen, and recomputed after every allowed change
+# --------------------------------------------------------------------------
+
+
+def rebuilt(model):
+    """A model freshly built from copies of ``model``'s parameters: nothing cached."""
+    fresh = build_model(model.config, seed=99)
+    for (_, p), (_, q) in zip(named_parameters(model), named_parameters(fresh)):
+        q.data = p.data.copy()
+    return fresh
+
+
+def eval_outputs(model, tokens):
+    sim, packed = forward(model, tokens), forward_packed(model, tokens)
+    return [h.data for h in sim.hidden_states] + [sim.mlm_logits.data, sim.nsp_logits.data] + (
+        packed.hidden_states + [packed.mlm_logits, packed.nsp_logits]
+    )
+
+
+@pytest.mark.parametrize("route", [forward, forward_packed])
+def test_an_in_place_write_to_a_cached_weight_raises(route):
+    model = build_model(tiny_config(variant="bipft_b", rank=2), seed=4)
+    route(model, np.array([2, 5, 6, 3]))
+    for w in block_linears(model):
+        with pytest.raises(ValueError, match="read-only"):
+            w.data[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            w.data *= 2.0
+    model.blocks[0].attn.bq.data[...] = 0.5  # only the binarized block weights are frozen
+
+
+@pytest.mark.parametrize("change", ["adamw", "rebind", "deepcopy"])
+def test_cached_forwards_follow_every_allowed_weight_change(change):
+    model = build_model(tiny_config(variant="bipft_b", rank=2), seed=5)
+    rng = np.random.default_rng(6)
+    jitter_model_binarizers(model, rng)
+    tokens = np.array([2, 5, 6, 7, 8, 3])
+    before = eval_outputs(model, tokens)  # caches every block weight's bits
+    if change == "adamw":
+        params = [p for _, p in named_parameters(model)]
+        for p in params:
+            p.grad = rng.normal(size=p.data.shape)
+        AdamW(params, lr=0.05).step()
+    elif change == "rebind":
+        for w in block_linears(model):
+            w.data = w.data + rng.normal(0.0, 0.05, size=w.data.shape)
+    else:
+        model = copy.deepcopy(model)
+        for w in block_linears(model):
+            w.data += rng.normal(0.0, 0.05, size=w.data.shape)
+    after = eval_outputs(model, tokens)
+    assert not np.array_equal(after[-2], before[-2])
+    for got, want in zip(after, eval_outputs(rebuilt(model), tokens)):
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -616,11 +674,11 @@ def test_prepared_weights_are_refused_by_a_relaxed_forward():
     model = build_model(tiny_config(), seed=0)
     ids = np.array([2, 7, 8, 3])
     assert np.array_equal(
-        forward(model, ids, weights=binarize_linears(model)).mlm_logits.data,
+        forward(model, ids, weights=binarize_linears(model, Tape())).mlm_logits.data,
         forward(model, ids).mlm_logits.data,
     )
     with pytest.raises(ValueError, match="hard-mode"):
-        forward(model, ids, mode="relaxed", weights=binarize_linears(model))
+        forward(model, ids, mode="relaxed", weights=binarize_linears(model, Tape()))
 
 
 def test_named_parameters_are_unique_and_stable():

@@ -106,14 +106,19 @@ def test_gradients_accumulate_additively_and_reset_explicitly():
     assert x.grad is None
 
 
+def test_tape_refuses_an_unregistered_op_name():
+    with pytest.raises(ValueError, match="unregistered tape op 'concat_cols'"):
+        Tape().record("concat_cols", lambda: None)
+
+
 def test_tape_replays_in_exact_reverse_order():
     order: list[str] = []
     tape = Tape()
-    for name in ("first", "second", "third"):
+    for name in ("add", "scale", "matmul"):  # registered names: record refuses others
         tape.record(name, lambda name=name: order.append(name))
     seed = DenseMatrix([[0.0]])
     tape.backward(seed)
-    assert order == ["third", "second", "first"]
+    assert order == ["matmul", "scale", "add"]
 
 
 # --------------------------------------------------------------------------

@@ -44,7 +44,13 @@ from bitformer.pretrain import (
     teacher_targets,
     total_loss,
 )
-from oracles import central_difference, per_example_finetune, per_sequence_pretrain, relative_error
+from oracles import (
+    block_linears,
+    central_difference,
+    per_example_finetune,
+    per_sequence_pretrain,
+    relative_error,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -339,14 +345,6 @@ def test_each_block_linear_is_binarized_once_per_step(monkeypatch):
     assert sorted(n for n in prepared if n in linears) == sorted(linears)
 
 
-def block_linears(model):
-    return [
-        w
-        for blk in model.blocks
-        for w in (blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo, blk.ffn.w1, blk.ffn.w2)
-    ]
-
-
 def test_deferred_binarizer_backward_moves_only_rounding(monkeypatch):
     """One smoke batch's gradients: one binarizer backward per step vs one per sequence."""
     from bitformer import numerics, pretrain
@@ -356,7 +354,7 @@ def test_deferred_binarizer_backward_moves_only_rounding(monkeypatch):
 
     def step_grads(per_sequence: bool):
         if per_sequence:  # every forward without prepared weights binarizes on its own tape
-            monkeypatch.setattr(pretrain, "binarize_linears", lambda model, tape=None: {})
+            monkeypatch.setattr(pretrain, "binarize_linears", lambda model, tape: {})
         grads = {}
 
         def capture(opt, lr=None):
@@ -523,3 +521,34 @@ def test_finetune_is_seed_deterministic():
     r1, r2 = run(), run()
     assert r1.accuracy == r2.accuracy
     assert np.array_equal(r1.head_w, r2.head_w)
+
+
+# --------------------------------------------------------------------------
+# tape op registry
+# --------------------------------------------------------------------------
+
+
+def test_every_recorded_tape_op_is_registered_and_every_registered_op_is_recorded(monkeypatch):
+    from bitformer.numerics import TAPE_OPS
+    from bitformer.verify import check_gradients
+
+    recorded = set()
+    real_record = Tape.record
+
+    def record(tape, name, fn):
+        recorded.add(name)
+        real_record(tape, name, fn)
+
+    monkeypatch.setattr(Tape, "record", record)
+    corpus = toy_corpus()
+    vocab = len(corpus.vocab)
+    smoke = build_model(tiny_config(vocab, variant="bipft_b", rank=3), seed=2)
+    pretrain_loop(smoke, corpus, steps=1, batch_size=2, seed=3)
+    teacher = build_model(tiny_config(vocab, full_precision=True), seed=4)
+    student = build_model(tiny_config(vocab), seed=5)
+    pretrain_loop(student, corpus, steps=1, batch_size=2, seed=6, teacher=teacher)
+    task = encoded_task(corpus.vocab, seed=8, count=4)
+    finetune(build_model(tiny_config(vocab), seed=1), task, task, epochs=1, batch_size=4, seed=0)
+    assert check_gradients(seed=0).passed
+    assert recorded <= TAPE_OPS, recorded - TAPE_OPS
+    assert TAPE_OPS <= recorded, f"registered but never recorded: {sorted(TAPE_OPS - recorded)}"

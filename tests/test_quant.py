@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitformer import quant
-from bitformer.bitkernel import binary_gemm, pack_signs
+from bitformer.bitkernel import binary_gemm, pack_signs, unpack_signs
 from bitformer.numerics import DenseMatrix, Tape
 from bitformer.quant import (
     ALPHA_FLOOR,
@@ -26,6 +26,7 @@ from bitformer.quant import (
     binarize_attention_01,
     binarize_weight,
     prepare_weight,
+    weight_bits,
     weight_row_scales,
 )
 
@@ -162,6 +163,93 @@ def test_row_blocked_weight_preparation_is_bitwise_the_whole_matrix_one(
             assert same_bits(getattr(got, field), expected), field
         else:
             assert getattr(got, field) is None
+
+
+def assert_weight_bits_are_the_prepared_weight(w: np.ndarray) -> None:
+    """Cached bits, scales and the rebuilt matrix against ``prepare_weight`` and ``pack_signs``."""
+    got = weight_bits(DenseMatrix(w.copy()))
+    want = prepare_weight(DenseMatrix(w.copy()), transposed=True)
+    centered = w - w.mean(axis=1, keepdims=True)
+    assert same_bits(got.value_t(), want.value)
+    assert same_bits(got.scales, want.scales[:, 0])
+    assert np.array_equal(got.bits.words, pack_signs(centered).words)
+    assert np.array_equal(got.bits_t.words, pack_signs(centered.T).words)
+    assert (got.bits.rows, got.bits.cols, got.bits_t.rows, got.bits_t.cols) == (*w.shape, *w.shape[::-1])
+
+
+def row_holding_its_mean(rng: np.random.Generator, cols: int) -> np.ndarray:
+    """Dyadic entries paired around a mean they sum to exactly; one or two entries equal it."""
+    half = rng.integers(-4, 5, size=cols // 2) * 0.25
+    if half.size:
+        half[0] = 0.0
+    row = 0.5 + np.concatenate([half, -half, [0.0] * (cols % 2)])
+    return rng.permutation(row)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    special=st.sampled_from([None, np.nan, np.inf, -np.inf, "both-inf", "mean"]),
+)
+def test_weight_bits_are_bitwise_the_prepared_weight(rows, cols, seed, special):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, 0.5, size=(rows, cols))
+    r = int(rng.integers(rows))
+    if special == "mean":
+        w[r] = row_holding_its_mean(rng, cols)
+    elif special == "both-inf":
+        w[r, 0], w[r, -1] = np.inf, -np.inf
+    elif special is not None:
+        w[r, int(rng.integers(cols))] = special
+    assert_weight_bits_are_the_prepared_weight(w)
+
+
+@pytest.mark.parametrize(
+    "shape, block_elems",
+    [
+        ((1, 1), None),
+        ((1, 7), None),
+        ((3, 8), None),
+        ((2, 63), None),
+        ((4, 64), None),
+        ((5, 65), None),
+        ((23, 130), 300),  # row blocks of 2 rows, the last ragged
+        ((300, 768), None),  # the real block size at base width
+    ],
+)
+def test_weight_bits_at_widths_around_word_boundaries(monkeypatch, shape, block_elems):
+    if block_elems is not None:
+        monkeypatch.setattr(quant, "_BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(shape[1])
+    w = rng.normal(0.0, 0.7, size=shape)
+    r = shape[0] // 2
+    w[r] = row_holding_its_mean(rng, shape[1])
+    if shape[0] > 2:
+        w[0, 0] = np.nan
+        w[-1] = 0.0  # an all-zero row: zero scale, every sign +1
+    assert_weight_bits_are_the_prepared_weight(w)
+    signs = unpack_signs(weight_bits(DenseMatrix(w)).bits)[r]
+    assert np.all(signs[w[r] == w[r].mean()] == 1.0)  # sign(0) = +1
+
+
+def test_weight_bits_are_kept_while_the_frozen_array_is_unchanged():
+    w = DenseMatrix(RNG.normal(size=(4, 9)))
+    first = weight_bits(w)
+    assert weight_bits(w) is first
+    assert not w.data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        w.data[1, 2] = 0.0
+    w.data.flags.writeable = True  # what the optimizer step does before its update
+    w.data[1, 2] = 5.0
+    second = weight_bits(w)
+    assert second is not first and second.source is w.data
+    w.data = -w.data  # a rebound array
+    third = weight_bits(w)
+    assert third is not second
+    assert np.array_equal(third.value_t(), prepare_weight(DenseMatrix(w.data), transposed=True).value)
 
 
 def test_untaped_weight_preparation_refuses_a_tape():

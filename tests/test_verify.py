@@ -70,6 +70,16 @@ def test_exact_recovery_passes_on_reduced_budget():
 def test_train_eval_agreement_passes_on_reduced_budget():
     res = check_train_eval_agreement(seed=0, instances=5)
     assert res.passed
+    assert "12 cached weights, 0 unlike prepare_weight" in res.detail
+
+
+def test_train_eval_agreement_catches_wrong_weight_bits_that_both_routes_share(monkeypatch):
+    # doubled row scales reach the cache, which both routes read, but not prepare_weight
+    real = quant.weight_row_scales
+    monkeypatch.setattr(quant, "weight_row_scales", lambda w: 2.0 * real(w))
+    res = check_train_eval_agreement(seed=0, instances=5)
+    assert not res.passed
+    assert "12 cached weights, 12 unlike prepare_weight" in res.detail
 
 
 def test_result_line_format():
