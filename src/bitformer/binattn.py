@@ -45,6 +45,9 @@ The untaped hard routes (:class:`SimOps` without a tape, and
 they read its sign bits and row scales from
 :func:`~bitformer.quant.weight_bits`, which makes the weight's ``data``
 read-only, so an in-place write raises rather than leave the bits stale.
+The taped and relaxed routes binarize through
+:func:`~bitformer.quant.binarize_weight`; both read one row-block
+definition of the weight binarizer.
 """
 
 from __future__ import annotations

@@ -75,8 +75,10 @@ def pack_signs(x: Array) -> PackedBitMatrix:
 def unpack_signs(p: PackedBitMatrix) -> Array:
     """Read packed bits back as float64 {-1,+1} values."""
     as_bytes = np.ascontiguousarray(p.words).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, : p.cols]
-    return bits.astype(np.float64) * 2.0 - 1.0
+    bits = np.unpackbits(as_bytes, axis=1, count=p.cols, bitorder="little")
+    levels = np.multiply(bits, 2.0, dtype=np.float64)
+    levels -= 1.0
+    return levels
 
 
 def _pm1_dots(a: PackedBitMatrix, b_t: PackedBitMatrix) -> Array:

@@ -23,8 +23,10 @@ projections and the attention products:
 * :func:`encode` — the hidden states of :func:`forward` without the heads.
 
 :func:`binarize_linears` binarizes every block linear weight once onto a
-tape, for the taped forwards that take it as ``weights``;
-:func:`~bitformer.pretrain.train_step` states how a training step uses it.
+tape (:func:`~bitformer.quant.binarize_weight`, whose backward recomputes
+its state from the weight), for the taped forwards that take it as
+``weights``; :func:`~bitformer.pretrain.train_step` states how a training
+step uses it.
 Untaped hard forwards (:func:`forward` without a tape, :func:`forward_packed`)
 binarize each block weight once per weight value instead: the sign bits and
 row scales are cached on the weight (:func:`~bitformer.quant.weight_bits`),
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, fields, is_dataclass
@@ -653,7 +656,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Array]]:
             raise CheckpointFormatError(f"tensor name is not UTF-8: {err}") from err
         (ndim,) = cur.unpack("<B")
         dims = [cur.unpack("<Q")[0] for _ in range(ndim)]
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)  # exact: np.prod wraps in int64
         payload = cur.take(4 * count)
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
         if name in tensors:

@@ -220,13 +220,13 @@ def train_step(
     binarized once (:func:`~bitformer.model.binarize_linears`) onto a weight
     tape, and every item's fresh tape adds its gradient into the same nodes.
     Replaying the weight tape then runs the binarizer backward once per
-    weight on that sum, before the update, since it reads the signs of the
-    weights the update changes.  The backward is linear in its gradient, so
-    this differs from binarizing per item only in summation order, and a
-    step is deterministic for given inputs.  A non-finite loss raises
-    :class:`TrainingAbort` naming the first non-finite parameter, else the
-    first non-finite entry of ``terms`` (loss sums that ``loss_of`` keeps),
-    else ``loss``.
+    weight on that sum, before the update, since it recomputes the row
+    means, scales and signs of the weights the update changes.  The
+    backward is linear in its gradient, so this differs from binarizing per
+    item only in summation order, and a step is deterministic for given
+    inputs.  A non-finite loss raises :class:`TrainingAbort` naming the
+    first non-finite parameter, else the first non-finite entry of
+    ``terms`` (loss sums that ``loss_of`` keeps), else ``loss``.
     ``freeze_body`` is for an untaped body: it gets no weight nodes, so its
     forwards read each weight's cached bits, and its binarizer levels are
     not projected.

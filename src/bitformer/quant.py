@@ -4,12 +4,11 @@ Three binarizers cover the whole model:
 
 * ``binarize_weight`` — per-output-row: center on the row mean, take signs
   (sign(0) = +1), scale by the row's mean absolute value.  Each output row
-  holds at most the two values ±scale.  It is ``prepare_weight`` (the
-  forward, once per weight value) followed by ``apply_weight`` (one tape
-  node with its own backward).  A node read by many tapes sums their
-  gradients in its ``.grad``, and replaying the tape that recorded it runs
-  the binarizer backward once on that sum (see
-  :func:`bitformer.pretrain.train_step`).
+  holds at most the two values ±scale.  A taped call is one tape node; its
+  backward recomputes the centered values and scales from the weight.  A
+  node read by many tapes sums their gradients in its ``.grad``, and
+  replaying the tape that recorded it runs the binarizer backward once on
+  that sum (see :func:`bitformer.pretrain.train_step`).
 * ``binarize_activation_pm1`` — elastic two-level activations
   ``alpha * sign(a - beta)`` with a trainable level and threshold.
 * ``binarize_attention_01`` — post-softmax maps quantized to {0, alpha} by
@@ -24,7 +23,8 @@ Evaluation forwards read a weight's hard binarization from
 scales, computed once per weight value.  The cache freezes the weight: its
 ``data`` becomes read-only, so an in-place write raises instead of leaving
 stale bits, and rebinding ``data`` (or a copy of the model) recomputes it.
-Training never reads the cache; it binarizes through :func:`prepare_weight`.
+Training never reads the cache; it binarizes through :func:`binarize_weight`.
+One row-block pass defines the weight binarizer for both.
 
 Hard forwards are step functions, so every binarizer declares a clip
 surrogate and its backward closure is the exact almost-everywhere gradient of
@@ -37,13 +37,13 @@ differencing uses — while the backward closures are identical in both modes.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .bitkernel import PackedBitMatrix, pack_bits
+from .bitkernel import PackedBitMatrix, pack_bits, unpack_signs
 from .numerics import Array, DenseMatrix, Tape
 
 QuantMode = Literal["hard", "relaxed"]
@@ -103,72 +103,75 @@ def weight_row_scales(w: Array) -> Array:
     return np.abs(w).mean(axis=1)
 
 
-@dataclass
-class BinaryWeight:
-    """One weight matrix binarized once, ready to be applied on any number of tapes.
+def _weight_rows(data: Array) -> Iterator[tuple[slice, Array, Array]]:
+    """The weight binarizer's definition, over row blocks of about ``_BLOCK_ELEMS`` elements.
 
-    ``value`` is the two-level matrix, stored transposed (C-contiguous) when
-    ``transposed`` is set, as a linear layer multiplies by it.  The backward
-    state is the row scales, the unit window on the centered values (a bool
-    array) and those values clipped to [-1, 1]; an untaped preparation
-    carries none of it.  It stays valid while ``w.data`` is unchanged.
+    Yields each block's rows, its centered values ``row - mean(row)`` and
+    its levels ``mean |row|`` as a column.  Every row is independent, so one
+    block's float64 temporaries at a time stay in cache.
     """
-
-    w: DenseMatrix
-    value: Array
-    transposed: bool = False
-    scales: Array | None = None
-    window: Array | None = None
-    clipped: Array | None = None
-
-
-def row_blocks(x: Array) -> list[slice]:
-    """Row slices of a 2-D array, each about ``_BLOCK_ELEMS`` elements."""
-    step = max(1, _BLOCK_ELEMS // max(1, x.shape[1]))
-    return [slice(lo, lo + step) for lo in range(0, x.shape[0], step)]
+    step = max(1, _BLOCK_ELEMS // max(1, data.shape[1]))
+    for lo in range(0, data.shape[0], step):
+        rows = slice(lo, lo + step)
+        block = data[rows]
+        scales = weight_row_scales(block)[:, None]  # first: its |block| temporary is freed here
+        yield rows, block - block.mean(axis=1, keepdims=True), scales
 
 
-def prepare_weight(
-    w: DenseMatrix, mode: QuantMode = "hard", taped: bool = True, transposed: bool = False
-) -> BinaryWeight:
+def binarize_weight(
+    tape: Tape | None, w: DenseMatrix, mode: QuantMode = "hard", transposed: bool = False
+) -> DenseMatrix:
     """Row-wise two-level weights: (mean |row|) * sign(row - mean(row)).
 
-    This is the forward half of :func:`binarize_weight`; ``taped`` keeps the
-    state its backward needs.  ``mode="relaxed"`` holds the surrogate
-    ``(mean |row|) * hardtanh(row - mean(row))`` instead of the signs.  Every
-    row is independent, so the work runs over cache-sized row blocks: the
-    centered values and levels of one block at a time, and the transposed
-    write as a copy of a finished block.
+    ``mode="relaxed"`` gives the surrogate ``(mean |row|) * hardtanh(row -
+    mean(row))`` instead.  ``transposed`` returns the (in, out) matrix,
+    C-contiguous, as a linear layer multiplies by it.  A taped call records
+    one node whose backward recomputes what it needs from ``w.data``.
     """
     _check_mode(mode)
     data = w.data
     # a transposed value is written straight into its (in, out) row-major buffer
     value = np.empty(data.shape[::-1]).T if transposed else np.empty(data.shape)
-    if taped:
-        scales = np.empty((data.shape[0], 1))
-        window = np.empty(data.shape, dtype=bool)
-        clipped = np.empty(data.shape)
-    for rows in row_blocks(data):
-        block = data[rows]
-        centered = block - block.mean(axis=1, keepdims=True)
-        block_scales = np.abs(block).mean(axis=1, keepdims=True)
+    for rows, centered, scales in _weight_rows(data):
         levels = _sign_pm1(centered) if mode == "hard" else np.clip(centered, -1.0, 1.0)
-        levels *= block_scales
+        levels *= scales
         value[rows] = levels
-        if taped:
-            scales[rows] = block_scales
-            np.less_equal(np.abs(centered), 1.0, out=window[rows])
-            np.clip(centered, -1.0, 1.0, out=clipped[rows])
-    if transposed:
-        value = value.T
-    if not taped:
-        return BinaryWeight(w, value, transposed)
-    return BinaryWeight(w, value, transposed, scales, window, clipped)
+    out = DenseMatrix(value.T if transposed else value)
+    if tape is not None:
+        tape.record("binarize_weight", lambda: _weight_backward(w, out.grad, transposed))
+    return out
+
+
+def _weight_backward(w: DenseMatrix, g: Array | None, transposed: bool) -> None:
+    """Add to ``w.grad`` the surrogate gradient for ``g``, a gradient of ``binarize_weight``'s value.
+
+    This is the exact gradient of the declared surrogate: the sign path
+    applies the unit window to centered values (and subtracts its row mean,
+    since the center depends on every entry), the scale path contributes
+    ``sign(w) / cols`` weighted by the clipped centered values.  It
+    recomputes the centered values and scales from ``w.data``, so it must
+    run before the optimizer changes ``w``.
+    """
+    if g is None:
+        return
+    grad = w.ensure_grad()
+    for rows, centered, scales in _weight_rows(w.data):
+        # a private (out, in) row-major copy: the row reductions below keep
+        # their summation order, and the copy is scratch space
+        g_rows = np.ascontiguousarray(g.T[rows]) if transposed else g[rows].copy()
+        dw = np.multiply(scales, np.abs(centered) <= 1.0)
+        dw *= g_rows  # through the sign
+        dw -= dw.mean(axis=1, keepdims=True)
+        g_rows *= np.clip(centered, -1.0, 1.0)
+        through_scale = _sign_pm1(w.data[rows])
+        through_scale *= g_rows.sum(axis=1, keepdims=True) / w.cols
+        dw += through_scale
+        grad[rows] += dw
 
 
 @dataclass
 class WeightBits:
-    """A weight's hard binarization as bits: what :func:`prepare_weight` holds as floats.
+    """A weight's hard binarization as bits: what :func:`binarize_weight` gives as floats.
 
     ``bits`` are the signs of ``w - rowmean(w)`` in the (out, in) layout,
     packed along ``in``, as the packed kernels read them; ``bits_t`` are the
@@ -185,12 +188,9 @@ class WeightBits:
     def value_t(self) -> Array:
         """The (in, out) two-level matrix ``(2 bit - 1) * scale``.
 
-        It is bitwise ``prepare_weight(w, taped=False, transposed=True).value``.
+        It is bitwise ``binarize_weight(None, w, transposed=True).data``.
         """
-        words = self.bits_t.words.view(np.uint8)
-        bits = np.unpackbits(words, axis=1, count=self.bits_t.cols, bitorder="little")
-        levels = np.multiply(bits, 2.0, dtype=np.float64)
-        levels -= 1.0
+        levels = unpack_signs(self.bits_t)
         levels *= self.scales
         return levels
 
@@ -215,59 +215,12 @@ def weight_bits(w: DenseMatrix) -> WeightBits:
         return entry
     signs = np.empty(data.shape, dtype=bool)
     scales = np.empty(data.shape[0])
-    for rows in row_blocks(data):
-        block = data[rows]
-        np.greater_equal(block - block.mean(axis=1, keepdims=True), 0.0, out=signs[rows])
-        scales[rows] = weight_row_scales(block)
+    for rows, centered, block_scales in _weight_rows(data):
+        np.greater_equal(centered, 0.0, out=signs[rows])
+        scales[rows] = block_scales[:, 0]
     data.flags.writeable = False
     w.cache = WeightBits(data, pack_bits(signs), pack_bits(signs.T), scales)
     return w.cache
-
-
-def _weight_backward(bw: BinaryWeight, g: Array | None) -> None:
-    """Add to ``bw.w.grad`` the surrogate gradient for ``g``, a gradient of ``bw.value``.
-
-    This is the exact gradient of the declared surrogate: the sign path
-    applies the unit window to centered values (and subtracts its row mean,
-    since the center depends on every entry), the scale path contributes
-    ``sign(w) / cols`` weighted by the clipped centered values.  It reads
-    ``sign(w.data)``, so it must run before the optimizer changes ``w``.
-    """
-    if g is None:
-        return
-    w = bw.w
-    # a private (out, in) row-major copy: the row reductions below keep
-    # their summation order, and the copy is scratch space
-    g = np.ascontiguousarray(g.T) if bw.transposed else g.copy()
-    dw = np.multiply(bw.scales, bw.window)
-    dw *= g  # through the sign
-    dw -= dw.mean(axis=1, keepdims=True)
-    g *= bw.clipped
-    through_scale = _sign_pm1(w.data)
-    through_scale *= g.sum(axis=1, keepdims=True) / w.cols
-    dw += through_scale
-    w.ensure_grad()[...] += dw
-
-
-def apply_weight(tape: Tape | None, bw: BinaryWeight) -> DenseMatrix:
-    """The prepared matrix as a tape node of its own whose backward reaches ``bw.w``.
-
-    The node shares ``bw.value``; its one backward runs on the sum of the
-    gradients its uses left in ``.grad``, however many tapes they were on.
-    """
-    out = DenseMatrix(bw.value)
-    if tape is not None:
-        if bw.window is None:
-            raise ValueError(f"weight {bw.w.name!r} was binarized without backward state")
-        tape.record("binarize_weight", lambda: _weight_backward(bw, out.grad))
-    return out
-
-
-def binarize_weight(
-    tape: Tape | None, w: DenseMatrix, mode: QuantMode = "hard", transposed: bool = False
-) -> DenseMatrix:
-    """Binarize ``w``: :func:`prepare_weight` then :func:`apply_weight`."""
-    return apply_weight(tape, prepare_weight(w, mode, tape is not None, transposed))
 
 
 def _slice_params(

@@ -44,8 +44,8 @@ from .quant import (
     binarize_activation_pm1,
     binarize_attention_01,
     binarize_weight,
-    prepare_weight,
 )
+from .pretrain import hidden_mse, kl_to_teacher
 from .rng import substream
 
 __all__ = [
@@ -145,7 +145,7 @@ def _max_rel(got: np.ndarray | None, want: np.ndarray, floor: float = 1e-6) -> f
 
 
 def _grad_case_ops(rng: np.random.Generator) -> float:
-    """One composite graph exercising every differentiable numerics op.
+    """One composite graph exercising every differentiable numerics op and both distillation losses.
 
     All ops in the graph are smooth at generic inputs, so any point works;
     FD runs over every entry of every leaf (far more than ten points).  The
@@ -160,6 +160,8 @@ def _grad_case_ops(rng: np.random.Generator) -> float:
     bias = DenseMatrix(rng.normal(size=(1, 6)) * 0.1)
     m = DenseMatrix(rng.normal(size=(3, 3)))
     targets = np.array([1, -100, 3])
+    teacher_logits = rng.normal(size=(3, 4))
+    teacher_hidden = rng.normal(size=(3, 4))
     leaves = [x0, x1, w, gamma, beta, bias, m]
 
     def graph() -> tuple[Tape, DenseMatrix]:
@@ -177,7 +179,8 @@ def _grad_case_ops(rng: np.random.Generator) -> float:
         h = merge_heads(tape, matmul(tape, m, matmul(tape, s, m)))
         h = slice_cols(tape, h, 1, 5)
         h = gather_rows(tape, h, np.array([2, 0, 2]))
-        return tape, cross_entropy(tape, h, targets)
+        loss = add(tape, cross_entropy(tape, h, targets), kl_to_teacher(tape, h, teacher_logits, 2.0))
+        return tape, add(tape, loss, hidden_mse(tape, h, teacher_hidden))
 
     tape, loss = graph()
     tape.backward(loss)
@@ -362,13 +365,17 @@ def _jitter_binarizers(model, rng: np.random.Generator) -> None:
         q.beta.data[0, 0] += float(rng.normal(0.0, 0.05))
 
 
-def _cache_matches_prepare_weight(w: DenseMatrix) -> bool:
-    """Whether the bits and scales cached on ``w`` are those of an independent :func:`prepare_weight`."""
-    want = prepare_weight(w, transposed=True)
+def _cache_matches_whole_matrix(w: DenseMatrix) -> bool:
+    """Whether the bits and scales cached on ``w`` are ``w.data`` binarized whole, in plain numpy."""
+    data = w.data
+    centered = data - data.mean(axis=1, keepdims=True)
+    scales = np.abs(data).mean(axis=1)
+    value_t = (np.where(centered >= 0.0, 1.0, -1.0) * scales[:, None]).T
     return (
-        np.array_equal(w.cache.scales, want.scales[:, 0])
-        and np.array_equal(w.cache.value_t(), want.value)
-        and np.array_equal(w.cache.bits.words, pack_signs(want.value.T).words)
+        np.array_equal(w.cache.scales, scales)
+        and np.array_equal(w.cache.bits.words, pack_signs(centered).words)
+        and np.array_equal(w.cache.bits_t.words, pack_signs(centered.T).words)
+        and np.array_equal(w.cache.value_t(), value_t)
     )
 
 
@@ -377,7 +384,8 @@ def check_train_eval_agreement(seed: int = 0, instances: int = 20) -> CheckResul
 
     Both routes read each block weight's cached bits, so their agreement
     alone cannot catch a wrong cache: every cached weight is also checked
-    against an independent :func:`prepare_weight`.
+    against its whole-matrix binarization in plain numpy, which shares no
+    code with :mod:`bitformer.quant`.
     """
     rng = substream(seed, "verify-agree")
     cfg = ModelConfig(
@@ -403,14 +411,14 @@ def check_train_eval_agreement(seed: int = 0, instances: int = 20) -> CheckResul
         )
         if i % 5 == 0:
             cached += [p for _, p in named_parameters(model) if p.cache is not None]
-    bad = sum(not _cache_matches_prepare_weight(w) for w in cached)
+    bad = sum(not _cache_matches_whole_matrix(w) for w in cached)
     expected = 6 * cfg.layers * -(-instances // 5)
     return CheckResult(
         name="train-eval-agreement",
         passed=worst < 1e-8 and bad == 0 and len(cached) == expected,
         detail=(
             f"{instances} inputs, max |logit diff| = {worst:.2e}; "
-            f"{len(cached)} cached weights, {bad} unlike prepare_weight"
+            f"{len(cached)} cached weights, {bad} unlike the whole-matrix binarization"
         ),
     )
 

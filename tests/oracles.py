@@ -9,7 +9,7 @@ library's own forward, losses and optimizer, and differ from
 weights: every sequence binarizes them afresh, the gradient each sequence
 leaves on a binarized matrix is added into a running sum in sequence order,
 and the binarizer backward then runs once per weight on that sum, through
-the per-use closure of ``quant.apply_weight``.  They check the per-step
+the closure of a fresh taped ``quant.binarize_weight``.  They check the per-step
 weight binarization and its deferred backward, not the math.
 ``per_head_attend`` is the same kind of exception: ``binattn.attend`` as
 a loop of 2-D tape ops, one head at a time.
@@ -109,15 +109,15 @@ def relative_error(got: np.ndarray, want: np.ndarray, floor: float = 1e-8) -> fl
     return float(np.max(np.abs(got - want) / denom))
 
 
-def whole_matrix_prepare_weight(
-    data: np.ndarray, mode: str = "hard", taped: bool = True, transposed: bool = False
-) -> tuple:
-    """The weight binarizer's forward over the whole matrix at once.
+def whole_matrix_prepare_weight(data: np.ndarray, mode: str = "hard", transposed: bool = False) -> tuple:
+    """The weight binarizer over the whole matrix at once, with its backward state.
 
-    Returns ``(value, scales, window, clipped)`` as ``quant.prepare_weight``
-    computes them, per element the same expressions, but with whole-matrix
-    temporaries and one strided write of the transposed value; the backward
-    state is None when untaped.
+    Returns ``(value, scales, window, clipped)``: the value of
+    ``quant.binarize_weight``, and the row scales, the unit window on the
+    centered values and those values clipped to [-1, 1], which its backward
+    recomputes.  Per element these are the same expressions as
+    ``quant``'s row-block pass, but with whole-matrix temporaries and one
+    strided write of the transposed value.
     """
     centered = data - data.mean(axis=1, keepdims=True)
     scales = np.abs(data).mean(axis=1, keepdims=True)
@@ -131,9 +131,27 @@ def whole_matrix_prepare_weight(
     np.multiply(scales, levels, out=value)
     if transposed:
         value = value.T
-    if not taped:
-        return value, None, None, None
     return value, scales, np.abs(centered) <= 1.0, np.clip(centered, -1.0, 1.0)
+
+
+def whole_matrix_weight_backward(data: np.ndarray, g: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """The weight binarizer's surrogate gradient for ``g`` over the whole matrix at once.
+
+    The same expressions as ``quant``'s backward, read from the state
+    :func:`whole_matrix_prepare_weight` returns, on a private (out, in)
+    row-major copy of ``g``.
+    """
+    _, scales, window, clipped = whole_matrix_prepare_weight(data)
+    g = np.ascontiguousarray(g.T) if transposed else g.copy()
+    dw = np.multiply(scales, window)
+    dw *= g
+    dw -= dw.mean(axis=1, keepdims=True)
+    g *= clipped
+    through_scale = np.greater_equal(data, 0.0).astype(np.float64)
+    through_scale *= 2.0
+    through_scale -= 1.0
+    through_scale *= g.sum(axis=1, keepdims=True) / data.shape[1]
+    return dw + through_scale
 
 
 def full_precision_encoder(
@@ -315,11 +333,11 @@ def _add_binarized_grads(sums: dict, weights: dict) -> None:
 def _binarizer_backward_once(sums: dict) -> None:
     """One per-use binarizer backward per weight, fed its summed gradient."""
     from bitformer.numerics import Tape
-    from bitformer.quant import apply_weight, prepare_weight
+    from bitformer.quant import binarize_weight
 
     tape = Tape()
     for w, total in sums.items():
-        apply_weight(tape, prepare_weight(w, transposed=True)).grad = total
+        binarize_weight(tape, w, transposed=True).grad = total
     for _, fn in tape.ops:
         fn()
     sums.clear()

@@ -4,8 +4,10 @@ Training invocations use tiny step budgets; the real training behavior is
 covered by the library tests and the acceptance suite.
 """
 
+import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -314,6 +316,20 @@ def test_inspect_corrupt_checkpoint_exits_4(tmp_path, capsys, version):
     assert rc == EXIT_SCHEMA_MISMATCH
     err = capsys.readouterr().err
     assert "checkpoint" in err and f"version {version}" in err
+
+
+def test_inspect_checkpoint_whose_dims_overflow_int64_exits_4(pretrained_run, tmp_path, capsys):
+    # dims (2**32, 2**32): a product that wraps to 0 in int64 must still read as truncation
+    raw = bytearray((pretrained_run / "model.ckpt").read_bytes())
+    ndim_at = raw.index(b"emb.tok") + len(b"emb.tok")
+    assert raw[ndim_at] == 2
+    raw[ndim_at + 1 : ndim_at + 17] = struct.pack("<QQ", 2**32, 2**32)
+    raw[-8:] = hashlib.blake2b(raw[:-8], digest_size=8).digest()  # re-hashed: only the dims are wrong
+    bad = tmp_path / "huge.ckpt"
+    bad.write_bytes(bytes(raw))
+    rc = main(["inspect", "--checkpoint", str(bad)])
+    assert rc == EXIT_SCHEMA_MISMATCH
+    assert "truncated checkpoint" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

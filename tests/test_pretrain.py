@@ -322,27 +322,30 @@ def test_finetune_matches_the_per_example_reference_bitwise():
     assert_bitwise_equal(model, snapshot(ref))
 
 
-def test_each_block_linear_is_binarized_once_per_step(monkeypatch):
-    from bitformer import quant
+def watch_binarize_weight(monkeypatch, seen) -> None:
+    """Call ``seen(w, out)`` on every ``binarize_weight`` call of the model and attention modules."""
+    from bitformer import binattn
+    from bitformer import model as model_module
 
+    for module in (binattn, model_module):
+
+        def watched(tape, w, *args, _real=module.binarize_weight, **kwargs):
+            out = _real(tape, w, *args, **kwargs)
+            seen(w, out)
+            return out
+
+        monkeypatch.setattr(module, "binarize_weight", watched)
+
+
+def test_each_block_linear_is_binarized_once_per_step(monkeypatch):
     corpus = toy_corpus()
     model = build_model(tiny_config(len(corpus.vocab)), seed=2)
-    linears = [
-        w.name
-        for blk in model.blocks
-        for w in (blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo, blk.ffn.w1, blk.ffn.w2)
-    ]
-    prepared = []
-    real = quant.prepare_weight
-
-    def counting(w, *args, **kwargs):
-        prepared.append(w.name)
-        return real(w, *args, **kwargs)
-
-    monkeypatch.setattr(quant, "prepare_weight", counting)
+    linears = [w.name for w in block_linears(model)]
+    binarized = []
+    watch_binarize_weight(monkeypatch, lambda w, out: binarized.append(w.name))
     pretrain_loop(model, corpus, steps=1, batch_size=4, seed=3)
     assert len(linears) == 6 * model.config.layers
-    assert sorted(n for n in prepared if n in linears) == sorted(linears)
+    assert sorted(n for n in binarized if n in linears) == sorted(linears)
 
 
 def test_deferred_binarizer_backward_moves_only_rounding(monkeypatch):
@@ -383,10 +386,10 @@ def count_weight_backwards(monkeypatch, linears):
     counts = {"other": 0}
     real = quant._weight_backward
 
-    def counting(bw, g):
-        key = bw.w.name if any(bw.w is w for w in linears) else "other"
+    def counting(w, g, transposed):
+        key = w.name if any(w is lin for lin in linears) else "other"
         counts[key] = counts.get(key, 0) + 1
-        return real(bw, g)
+        return real(w, g, transposed)
 
     monkeypatch.setattr(quant, "_weight_backward", counting)
     return counts
@@ -425,29 +428,25 @@ def test_finetune_runs_each_block_weight_backward_once_per_chunk(monkeypatch):
 
 
 def test_a_steps_binarized_weights_are_freed_before_the_update(monkeypatch):
-    """The update's temporaries never coexist with the step's binarizer backward state."""
-    from bitformer import numerics, quant
+    """The update's temporaries never coexist with the step's binarized weights."""
+    from bitformer import numerics
 
-    prepared, alive_at_update = [], []
-    real_prepare, real_step = quant.prepare_weight, numerics.AdamW.step
-
-    def tracking(*args, **kwargs):
-        bw = real_prepare(*args, **kwargs)
-        prepared.append(weakref.ref(bw))
-        return bw
+    binarized, alive_at_update = [], []
+    real_step = numerics.AdamW.step
 
     def step(opt, lr=None):
-        alive_at_update.append(sum(ref() is not None for ref in prepared))
+        alive_at_update.append(sum(ref() is not None for ref in binarized))
         real_step(opt, lr=lr)
 
-    monkeypatch.setattr(quant, "prepare_weight", tracking)
+    # a DenseMatrix takes no weak reference, so watch the value array each node holds
+    watch_binarize_weight(monkeypatch, lambda w, out: binarized.append(weakref.ref(out.data)))
     monkeypatch.setattr(numerics.AdamW, "step", step)
     corpus = toy_corpus()
     model = build_model(tiny_config(len(corpus.vocab)), seed=2)
     pretrain_loop(model, corpus, steps=2, batch_size=3, seed=3)
     data = encoded_task(corpus.vocab, seed=8, count=12)
     finetune(model, data[:8], data[8:], epochs=1, n_classes=2, seed=4, lr=1e-3, batch_size=4)
-    assert prepared and alive_at_update == [0] * 4
+    assert binarized and alive_at_update == [0] * 4
 
 
 # --------------------------------------------------------------------------
@@ -528,7 +527,7 @@ def test_finetune_is_seed_deterministic():
 # --------------------------------------------------------------------------
 
 
-def test_every_recorded_tape_op_is_registered_and_every_registered_op_is_recorded(monkeypatch):
+def test_every_recorded_tape_op_is_registered_and_every_registered_op_is_gradient_checked(monkeypatch):
     from bitformer.numerics import TAPE_OPS
     from bitformer.verify import check_gradients
 
@@ -549,6 +548,8 @@ def test_every_recorded_tape_op_is_registered_and_every_registered_op_is_recorde
     pretrain_loop(student, corpus, steps=1, batch_size=2, seed=6, teacher=teacher)
     task = encoded_task(corpus.vocab, seed=8, count=4)
     finetune(build_model(tiny_config(vocab), seed=1), task, task, epochs=1, batch_size=4, seed=0)
-    assert check_gradients(seed=0).passed
     assert recorded <= TAPE_OPS, recorded - TAPE_OPS
-    assert TAPE_OPS <= recorded, f"registered but never recorded: {sorted(TAPE_OPS - recorded)}"
+    recorded.clear()
+    assert check_gradients(seed=0).passed
+    # so no op can be registered without a finite-difference check of its backward
+    assert recorded == TAPE_OPS, f"no gradient check: {sorted(TAPE_OPS - recorded)}"

@@ -21,16 +21,19 @@ from bitformer.quant import (
     ALPHA_FLOOR,
     ElasticQuant,
     QuantError,
-    apply_weight,
     binarize_activation_pm1,
     binarize_attention_01,
     binarize_weight,
-    prepare_weight,
     weight_bits,
     weight_row_scales,
 )
 
-from oracles import central_difference, relative_error, whole_matrix_prepare_weight
+from oracles import (
+    central_difference,
+    relative_error,
+    whole_matrix_prepare_weight,
+    whole_matrix_weight_backward,
+)
 
 RNG = np.random.default_rng(77)
 FD_TOL = 1e-4
@@ -115,14 +118,14 @@ def test_binarize_weight_hard_and_relaxed_share_backward():
 
 
 @pytest.mark.parametrize("mode", ["hard", "relaxed"])
-def test_transposed_weight_preparation_is_the_transpose_with_the_same_gradient(mode):
+def test_transposed_binarized_weight_is_the_transpose_with_the_same_gradient(mode):
     w = RNG.normal(size=(6, 40))  # rows long enough for pairwise summation
     coeffs = RNG.normal(size=w.shape)
-    prepared = lambda t, ps: apply_weight(t, prepare_weight(ps[0], mode, transposed=True))  # noqa: E731
+    transposed = lambda t, ps: binarize_weight(t, ps[0], mode, transposed=True)  # noqa: E731
     plain = lambda t, ps: binarize_weight(t, ps[0], mode)  # noqa: E731
     want = binarize_weight(None, DenseMatrix(w), mode).data
-    assert np.array_equal(prepared(None, [DenseMatrix(w)]).data, want.T)
-    g_t = weighted_sum(prepared, [w], coeffs.T)[0]
+    assert np.array_equal(transposed(None, [DenseMatrix(w)]).data, want.T)
+    g_t = weighted_sum(transposed, [w], coeffs.T)[0]
     g = weighted_sum(plain, [w], coeffs)[0]
     assert np.array_equal(g_t, g)
 
@@ -135,43 +138,58 @@ def same_bits(got, want) -> bool:
     return got.dtype == want.dtype and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("mode", ["hard", "relaxed"])
-@pytest.mark.parametrize("taped", [True, False])
-@pytest.mark.parametrize("transposed", [True, False])
-@pytest.mark.parametrize(
-    "shape, block_elems",
-    [
-        ((23, 8), 50),  # blocks of 6 rows: 6, 6, 6 and a ragged 5
-        ((300, 768), None),  # the real block size at base width: 85, 85, 85 and 45 rows
-        ((1, 5), 1),  # one row wider than a block
-    ],
-)
-def test_row_blocked_weight_preparation_is_bitwise_the_whole_matrix_one(
-    monkeypatch, mode, taped, transposed, shape, block_elems
-):
+ROW_BLOCK_CASES = [
+    ((23, 8), 50),  # blocks of 6 rows: 6, 6, 6 and a ragged 5
+    ((300, 768), None),  # the real block size at base width: 85, 85, 85 and 45 rows
+    ((1, 5), 1),  # one row wider than a block
+]
+
+
+def row_blocked_case(monkeypatch, shape, block_elems) -> np.ndarray:
+    """A weight of ``shape`` with an all-zero row (zero scale, every sign +1), at a given block size."""
     if block_elems is not None:
         monkeypatch.setattr(quant, "_BLOCK_ELEMS", block_elems)
     rng = np.random.default_rng(shape[0])
     w = rng.normal(0.0, 0.7, size=shape)
-    w[shape[0] // 2] = 0.0  # an all-zero row: zero scale, every sign +1
-    got = prepare_weight(DenseMatrix(w), mode, taped, transposed)
-    want = whole_matrix_prepare_weight(w, mode, taped, transposed)
-    assert same_bits(got.value, want[0])
-    assert got.value.flags.c_contiguous
-    for field, expected in zip(("scales", "window", "clipped"), want[1:]):
-        if taped:
-            assert same_bits(getattr(got, field), expected), field
-        else:
-            assert getattr(got, field) is None
+    w[shape[0] // 2] = 0.0
+    return w
 
 
-def assert_weight_bits_are_the_prepared_weight(w: np.ndarray) -> None:
-    """Cached bits, scales and the rebuilt matrix against ``prepare_weight`` and ``pack_signs``."""
+@pytest.mark.parametrize("mode", ["hard", "relaxed"])
+@pytest.mark.parametrize("taped", [True, False])
+@pytest.mark.parametrize("transposed", [True, False])
+@pytest.mark.parametrize("shape, block_elems", ROW_BLOCK_CASES)
+def test_row_blocked_binarized_weight_is_bitwise_the_whole_matrix_one(
+    monkeypatch, mode, taped, transposed, shape, block_elems
+):
+    w = row_blocked_case(monkeypatch, shape, block_elems)
+    got = binarize_weight(Tape() if taped else None, DenseMatrix(w), mode, transposed).data
+    assert same_bits(got, whole_matrix_prepare_weight(w, mode, transposed)[0])
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("transposed", [True, False])
+@pytest.mark.parametrize("shape, block_elems", ROW_BLOCK_CASES)
+def test_row_blocked_weight_backward_is_bitwise_the_whole_matrix_one(
+    monkeypatch, transposed, shape, block_elems
+):
+    w = row_blocked_case(monkeypatch, shape, block_elems)
+    g = np.random.default_rng(1).normal(size=shape[::-1] if transposed else shape)
+    wn = DenseMatrix(w)
+    tape = Tape()
+    binarize_weight(tape, wn, transposed=transposed).grad = g.copy()
+    tape.replay()
+    # the backward adds into a zero gradient, which turns -0.0 into +0.0
+    assert same_bits(wn.grad, 0.0 + whole_matrix_weight_backward(w, g, transposed))
+
+
+def assert_weight_bits_are_the_whole_matrix_binarization(w: np.ndarray) -> None:
+    """Cached bits, scales and the rebuilt matrix against the whole-matrix oracle and ``pack_signs``."""
     got = weight_bits(DenseMatrix(w.copy()))
-    want = prepare_weight(DenseMatrix(w.copy()), transposed=True)
+    value_t, scales, _, _ = whole_matrix_prepare_weight(w, transposed=True)
     centered = w - w.mean(axis=1, keepdims=True)
-    assert same_bits(got.value_t(), want.value)
-    assert same_bits(got.scales, want.scales[:, 0])
+    assert same_bits(got.value_t(), value_t)
+    assert same_bits(got.scales, scales[:, 0])
     assert np.array_equal(got.bits.words, pack_signs(centered).words)
     assert np.array_equal(got.bits_t.words, pack_signs(centered.T).words)
     assert (got.bits.rows, got.bits.cols, got.bits_t.rows, got.bits_t.cols) == (*w.shape, *w.shape[::-1])
@@ -194,7 +212,7 @@ def row_holding_its_mean(rng: np.random.Generator, cols: int) -> np.ndarray:
     seed=st.integers(0, 2**32 - 1),
     special=st.sampled_from([None, np.nan, np.inf, -np.inf, "both-inf", "mean"]),
 )
-def test_weight_bits_are_bitwise_the_prepared_weight(rows, cols, seed, special):
+def test_weight_bits_are_bitwise_the_whole_matrix_binarization(rows, cols, seed, special):
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 0.5, size=(rows, cols))
     r = int(rng.integers(rows))
@@ -204,7 +222,7 @@ def test_weight_bits_are_bitwise_the_prepared_weight(rows, cols, seed, special):
         w[r, 0], w[r, -1] = np.inf, -np.inf
     elif special is not None:
         w[r, int(rng.integers(cols))] = special
-    assert_weight_bits_are_the_prepared_weight(w)
+    assert_weight_bits_are_the_whole_matrix_binarization(w)
 
 
 @pytest.mark.parametrize(
@@ -230,7 +248,7 @@ def test_weight_bits_at_widths_around_word_boundaries(monkeypatch, shape, block_
     if shape[0] > 2:
         w[0, 0] = np.nan
         w[-1] = 0.0  # an all-zero row: zero scale, every sign +1
-    assert_weight_bits_are_the_prepared_weight(w)
+    assert_weight_bits_are_the_whole_matrix_binarization(w)
     signs = unpack_signs(weight_bits(DenseMatrix(w)).bits)[r]
     assert np.all(signs[w[r] == w[r].mean()] == 1.0)  # sign(0) = +1
 
@@ -249,14 +267,7 @@ def test_weight_bits_are_kept_while_the_frozen_array_is_unchanged():
     w.data = -w.data  # a rebound array
     third = weight_bits(w)
     assert third is not second
-    assert np.array_equal(third.value_t(), prepare_weight(DenseMatrix(w.data), transposed=True).value)
-
-
-def test_untaped_weight_preparation_refuses_a_tape():
-    prepared = prepare_weight(DenseMatrix(RNG.normal(size=(3, 4))), taped=False)
-    assert apply_weight(None, prepared).data is prepared.value
-    with pytest.raises(ValueError, match="backward state"):
-        apply_weight(Tape(), prepared)
+    assert np.array_equal(third.value_t(), binarize_weight(None, DenseMatrix(w.data), transposed=True).data)
 
 
 def test_deferred_weight_backward_is_the_per_use_backward_of_the_summed_gradient():
@@ -264,14 +275,14 @@ def test_deferred_weight_backward_is_the_per_use_backward_of_the_summed_gradient
     uses = [RNG.normal(size=(7, 5)) for _ in range(3)]
     unused_w = DenseMatrix(w.data.copy())
     weight_tape = Tape()
-    shared = apply_weight(weight_tape, prepare_weight(w, transposed=True))
-    apply_weight(weight_tape, prepare_weight(unused_w, transposed=True))
+    shared = binarize_weight(weight_tape, w, transposed=True)
+    binarize_weight(weight_tape, unused_w, transposed=True)
     for g in uses:  # each use's tape adds its gradient into the one node
         shared.ensure_grad()[...] += g
     weight_tape.replay()
     got, w.grad = w.grad, None
     tape = Tape()
-    apply_weight(tape, prepare_weight(w, transposed=True)).grad = uses[0] + uses[1] + uses[2]
+    binarize_weight(tape, w, transposed=True).grad = uses[0] + uses[1] + uses[2]
     tape.replay()
     assert same_bits(got, w.grad)
     assert unused_w.grad is None  # a node no use reached runs no backward

@@ -55,8 +55,8 @@ def test_gradients_check_passes_at_every_seed_from_0_to_39():
 def test_gradients_check_fails_on_a_backward_off_by_a_part_in_a_thousand(monkeypatch, seed):
     real = quant._weight_backward
 
-    def off(bw, g):
-        real(bw, None if g is None else g * (1.0 + 1e-3))
+    def off(w, g, transposed):
+        real(w, None if g is None else g * (1.0 + 1e-3), transposed)
 
     monkeypatch.setattr(quant, "_weight_backward", off)
     assert not check_gradients(seed=seed).passed
@@ -70,16 +70,31 @@ def test_exact_recovery_passes_on_reduced_budget():
 def test_train_eval_agreement_passes_on_reduced_budget():
     res = check_train_eval_agreement(seed=0, instances=5)
     assert res.passed
-    assert "12 cached weights, 0 unlike prepare_weight" in res.detail
+    assert "12 cached weights, 0 unlike the whole-matrix binarization" in res.detail
 
 
-def test_train_eval_agreement_catches_wrong_weight_bits_that_both_routes_share(monkeypatch):
-    # doubled row scales reach the cache, which both routes read, but not prepare_weight
-    real = quant.weight_row_scales
-    monkeypatch.setattr(quant, "weight_row_scales", lambda w: 2.0 * real(w))
+def doubled_scales(real):
+    return lambda w: 2.0 * real(w)
+
+
+def centers_off_the_row_mean(real):
+    def rows(data):
+        for r, centered, scales in real(data):
+            yield r, centered - 0.05, scales
+
+    return rows
+
+
+@pytest.mark.parametrize(
+    "name, wrong", [("weight_row_scales", doubled_scales), ("_weight_rows", centers_off_the_row_mean)]
+)
+def test_train_eval_agreement_catches_wrong_weight_bits_that_both_routes_share(monkeypatch, name, wrong):
+    # a wrong scale or sign reaches every weight binarization in quant, the
+    # cache that both routes read included, but not the check's plain-numpy reference
+    monkeypatch.setattr(quant, name, wrong(getattr(quant, name)))
     res = check_train_eval_agreement(seed=0, instances=5)
     assert not res.passed
-    assert "12 cached weights, 12 unlike prepare_weight" in res.detail
+    assert "12 cached weights, 12 unlike the whole-matrix binarization" in res.detail
 
 
 def test_result_line_format():
