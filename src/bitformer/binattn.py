@@ -29,25 +29,24 @@ its own binarizers.  Everything else (head splits, softmax, estimator paths,
 norms) is the same ``numerics`` ops in every route.  There are three op
 sets:
 
-* :class:`SimOps` — float simulation, taped or not, hard or relaxed; what
-  training runs (``attention_forward``).
-* :class:`PackedOps` — the binary products on bit-packed words; evaluation
-  only, agreeing with the simulation to float accuracy (the tests pin 1e-8)
-  (``attention_forward_packed``).
+* :class:`SimOps` — float simulation of the binary products, taped (what
+  training runs) or relaxed (what finite differencing runs)
+  (``attention_forward``).
+* :class:`PackedOps` — the binary products on bit-packed words; what every
+  untaped hard forward runs, agreeing with the simulation to float accuracy
+  (the tests pin 1e-8) (``attention_forward_packed``).
 * :class:`FullPrecisionOps` — the float twin: plain affine maps and identity
   binarizers.
 
 Padded keys get a large negative score bias and are gated out of the
 selection, so no threshold can select them.
 
-The untaped hard routes (:class:`SimOps` without a tape, and
-:class:`PackedOps`) binarize each projection weight once per weight value:
-they read its sign bits and row scales from
+:class:`PackedOps` binarizes each projection weight once per weight value:
+it reads the weight's sign bits and row scales from
 :func:`~bitformer.quant.weight_bits`, which makes the weight's ``data``
 read-only, so an in-place write raises rather than leave the bits stale.
-The taped and relaxed routes binarize through
-:func:`~bitformer.quant.binarize_weight`; both read one row-block
-definition of the weight binarizer.
+:class:`SimOps` binarizes through :func:`~bitformer.quant.binarize_weight`;
+both read one row-block definition of the weight binarizer.
 """
 
 from __future__ import annotations
@@ -378,17 +377,11 @@ def binary_linear(
 
     ``w_b`` is ``w`` already binarized (transposed, in ``mode``) by
     :func:`bitformer.model.binarize_linears`, its backward on another tape;
-    without it ``w`` is binarized here, with a backward on this tape.  An
-    untaped hard call builds the two-level matrix from the bits that
-    :func:`~bitformer.quant.weight_bits` keeps on ``w``, bitwise what
-    binarizing here would give.
+    without it ``w`` is binarized here, with a backward on this tape.
     """
     aq = binarize_activation_pm1(tape, a, in_q, mode)
     if w_b is None:
-        if tape is None and mode == "hard":
-            w_b = DenseMatrix(weight_bits(w).value_t())
-        else:
-            w_b = binarize_weight(tape, w, mode, transposed=True)
+        w_b = binarize_weight(tape, w, mode, transposed=True)
     return add_bias(tape, matmul(tape, aq, w_b), b)
 
 
@@ -412,11 +405,13 @@ def binary_linear_packed(a: Array, w: DenseMatrix, b: DenseMatrix, in_q: Elastic
 
 
 class SimOps:
-    """Float simulation of every binary product: taped or not, hard or relaxed.
+    """Float simulation of every binary product: the training arithmetic.
 
-    ``weights`` maps linear weights to their binarized nodes
-    (``binary_linear``'s ``w_b``); a weight it lacks is binarized per use,
-    or, untaped and hard, read from its cached bits.
+    Taped, it is what a training step differentiates; relaxed, it runs the
+    binarizer surrogates for finite differencing.  Untaped hard forwards of a
+    model run :class:`PackedOps` instead.  ``weights`` maps linear weights to
+    their binarized nodes (``binary_linear``'s ``w_b``); a weight it lacks is
+    binarized per use.
     """
 
     def __init__(
@@ -450,14 +445,16 @@ class SimOps:
 
 
 class PackedOps(SimOps):
-    """Binary products on bit-packed words; untaped and hard, evaluation only.
+    """Binary products on bit-packed words: every untaped hard forward.
 
-    Agreement with :class:`SimOps` assumes generic binarizer parameters: if an
-    activation lands exactly on a sign threshold (possible at the
-    all-zero-threshold init, where some activations are exact ±1-lattice
-    cancellations), the integer accumulator and float summation may resolve
-    its sign differently.  ``scores`` and ``mix`` run the packed product of
-    one head at a time and return the stack of the heads' results.
+    Its agreement with the training arithmetic (:class:`SimOps`, taped)
+    assumes generic binarizer parameters: if an activation lands exactly on
+    a sign threshold (possible at the all-zero-threshold init, where some
+    activations are exact ±1-lattice cancellations), the integer accumulator
+    and float summation may resolve its sign differently, so a model can
+    evaluate slightly differently from how it trains there.  ``scores`` and
+    ``mix`` run the packed product of one head at a time and return the
+    stack of the heads' results.
     """
 
     def attention(self, a, layer, key_mask) -> DenseMatrix:

@@ -13,26 +13,23 @@ The encoder is defined once (``_encode``) over the op sets of
 :mod:`bitformer.binattn`, which supply only the embedding binarizer, the
 projections and the attention products:
 
-* :func:`forward` — float simulation (:class:`~bitformer.binattn.SimOps`);
-  records onto a tape for training, and its "relaxed" mode runs the
-  binarizer surrogates for finite-difference checks.  A full-precision
-  model runs :class:`~bitformer.binattn.FullPrecisionOps` instead.
-* :func:`forward_packed` — bit-packed kernels
-  (:class:`~bitformer.binattn.PackedOps`), evaluation only; agrees with
-  :func:`forward` to float accuracy.
+* :func:`forward` — taped or relaxed, the float simulation that training
+  differentiates (:class:`~bitformer.binattn.SimOps`); untaped and hard,
+  the bit-packed kernels (:class:`~bitformer.binattn.PackedOps`).  A
+  full-precision model runs :class:`~bitformer.binattn.FullPrecisionOps`.
+* :func:`forward_packed` — the untaped hard :func:`forward`, bitwise, with
+  plain-array outputs.
 * :func:`encode` — the hidden states of :func:`forward` without the heads.
 
 :func:`binarize_linears` binarizes every block linear weight once onto a
 tape (:func:`~bitformer.quant.binarize_weight`, whose backward recomputes
 its state from the weight), for the taped forwards that take it as
 ``weights``; :func:`~bitformer.pretrain.train_step` states how a training
-step uses it.
-Untaped hard forwards (:func:`forward` without a tape, :func:`forward_packed`)
-binarize each block weight once per weight value instead: the sign bits and
-row scales are cached on the weight (:func:`~bitformer.quant.weight_bits`),
-which makes its ``data`` read-only.  An in-place write to a cached weight
-raises; the optimizer step, rebinding ``data``, a deep copy and a checkpoint
-load are the ways to change weights.
+step uses it.  Untaped hard forwards binarize each block weight once per
+weight value instead: the sign bits and row scales are cached on the weight
+(:func:`~bitformer.quant.weight_bits`), which makes its ``data`` read-only.
+An in-place write to a cached weight raises; the optimizer step, rebinding
+``data``, a deep copy and a checkpoint load are the ways to change weights.
 
 Every trainable tensor is declared once, with its name, shape and init, in
 ``_declare`` (the attention layer's part in
@@ -389,7 +386,7 @@ def parameter_inventory(model: Model) -> dict[str, int]:
 
 @dataclass
 class ForwardResult:
-    """Float-simulation outputs: per-depth hidden states plus head logits."""
+    """Outputs of :func:`forward`: per-depth hidden states plus head logits."""
 
     hidden_states: list[DenseMatrix]
     mlm_logits: DenseMatrix
@@ -469,11 +466,12 @@ def _heads(tape: Tape | None, model: Model, x: DenseMatrix) -> tuple[DenseMatrix
 def binarize_linears(model: Model, tape: Tape) -> dict[DenseMatrix, DenseMatrix]:
     """Every block linear weight binarized once (hard mode), valid until the weights change.
 
-    Pass the result as ``weights`` to :func:`forward` or :func:`encode`, which
-    then read these nodes instead of binarizing their own.  Their binarizer
-    backwards are recorded on ``tape`` (:func:`~bitformer.pretrain.train_step`).
-    An untaped forward needs no such snapshot: it reads each weight's cached
-    bits (:func:`~bitformer.quant.weight_bits`).  A full-precision model
+    Pass the result as ``weights`` to a taped :func:`forward` or
+    :func:`encode`, which then read these nodes instead of binarizing their
+    own.  Their binarizer backwards are recorded on ``tape``
+    (:func:`~bitformer.pretrain.train_step`).  An untaped forward refuses
+    them: it reads each weight's cached bits
+    (:func:`~bitformer.quant.weight_bits`).  A full-precision model
     binarizes nothing.
     """
     if model.config.full_precision:
@@ -495,9 +493,14 @@ def encode(
     weights: dict[DenseMatrix, DenseMatrix] | None = None,
 ) -> list[DenseMatrix]:
     """Per-depth hidden states of :func:`forward`, without computing the heads."""
-    if weights and mode != "hard":
-        raise ValueError("prepared weights are hard-mode; relaxed forwards binarize their own")
-    ops = FullPrecisionOps(tape) if model.config.full_precision else SimOps(tape, mode, weights)
+    if weights and (tape is None or mode != "hard"):
+        raise ValueError("prepared weights are for taped hard-mode forwards; the others binarize their own")
+    if model.config.full_precision:
+        ops = FullPrecisionOps(tape)
+    elif tape is None and mode == "hard":
+        ops = PackedOps()
+    else:
+        ops = SimOps(tape, mode, weights)
     return _encode(model, ops, token_ids, segment_ids, pad_mask)
 
 
@@ -510,13 +513,17 @@ def forward(
     mode: QuantMode = "hard",
     weights: dict[DenseMatrix, DenseMatrix] | None = None,
 ) -> ForwardResult:
-    """Float-simulated forward over one sequence (rows = positions).
+    """Forward over one sequence (rows = positions).
 
     ``pad_mask`` marks real positions with True; padded keys are masked out
     of every attention map and the padded rows' outputs are meaningless
-    (losses must ignore them).  ``mode="relaxed"`` replaces the hard
-    binarizer forwards with their clip surrogates for finite differencing.
-    ``weights`` is the step's :func:`binarize_linears`, if any.
+    (losses must ignore them).  A taped forward is the float simulation that
+    training differentiates; ``mode="relaxed"`` swaps the hard binarizers for
+    their clip surrogates, for finite differencing.  An untaped hard forward
+    of a binary model runs the packed kernels, as :func:`forward_packed`
+    does.  The two routes agree to float accuracy, except that an activation
+    exactly on a sign threshold (the all-zero-threshold init makes some) may
+    round apart.  ``weights`` is a taped step's :func:`binarize_linears`.
     """
     hidden = encode(model, token_ids, segment_ids, pad_mask, tape, mode, weights)
     mlm, nsp = _heads(tape, model, hidden[-1])
@@ -524,14 +531,10 @@ def forward(
 
 
 def forward_packed(model: Model, token_ids, segment_ids=None, pad_mask=None) -> PackedResult:
-    """Packed-kernel forward: binary products run on bit-packed words.
-
-    Everything but those products runs the float ops of :func:`forward`, so
-    the two routes agree to float accuracy on logits for generic binarizer
-    parameters.
-    """
+    """Packed-kernel forward, bitwise the untaped hard :func:`forward`, with plain-array outputs."""
     if model.config.full_precision:
         raise ValueError("packed evaluation applies to binary models only")
+    # _encode, not forward: the benchmark tracer times the two as separate routes
     hidden = _encode(model, PackedOps(), token_ids, segment_ids, pad_mask)
     mlm, nsp = _heads(None, model, hidden[-1])
     return PackedResult(hidden_states=[h.data for h in hidden], mlm_logits=mlm.data, nsp_logits=nsp.data)

@@ -18,13 +18,14 @@ Three binarizers cover the whole model:
 Both activation binarizers also take a stack of matrices (an attention
 layer's heads) with one binarizer per slice.
 
-Evaluation forwards read a weight's hard binarization from
-:func:`weight_bits`, which keeps it on the weight as sign bits and row
-scales, computed once per weight value.  The cache freezes the weight: its
-``data`` becomes read-only, so an in-place write raises instead of leaving
-stale bits, and rebinding ``data`` (or a copy of the model) recomputes it.
-Training never reads the cache; it binarizes through :func:`binarize_weight`.
-One row-block pass defines the weight binarizer for both.
+Evaluation forwards, which run the packed kernels, read a weight's hard
+binarization from :func:`weight_bits`, which keeps it on the weight as
+packed sign bits and row scales, computed once per weight value.  The cache
+freezes the weight: its ``data`` becomes read-only, so an in-place write
+raises instead of leaving stale bits, and rebinding ``data`` (or a copy of
+the model) recomputes it.  Training never reads the cache; it binarizes
+through :func:`binarize_weight`.  One row-block pass defines the weight
+binarizer for both.
 
 Hard forwards are step functions, so every binarizer declares a clip
 surrogate and its backward closure is the exact almost-everywhere gradient of
@@ -43,7 +44,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bitkernel import PackedBitMatrix, pack_bits, unpack_signs
+from .bitkernel import PackedBitMatrix, pack_bits
 from .numerics import Array, DenseMatrix, Tape
 
 QuantMode = Literal["hard", "relaxed"]
@@ -174,25 +175,14 @@ class WeightBits:
     """A weight's hard binarization as bits: what :func:`binarize_weight` gives as floats.
 
     ``bits`` are the signs of ``w - rowmean(w)`` in the (out, in) layout,
-    packed along ``in``, as the packed kernels read them; ``bits_t`` are the
-    same signs in the (in, out) layout, packed along ``out``, as the
-    simulated route multiplies by them.  ``source`` is the read-only array
-    they were computed from.
+    packed along ``in``, as the packed kernels read them; row ``r`` of the
+    two-level matrix is ``scales[r]`` times its ±1 signs.  ``source`` is the
+    read-only array they were computed from.
     """
 
     source: Array
     bits: PackedBitMatrix
-    bits_t: PackedBitMatrix
     scales: Array  # (out,) mean |row|
-
-    def value_t(self) -> Array:
-        """The (in, out) two-level matrix ``(2 bit - 1) * scale``.
-
-        It is bitwise ``binarize_weight(None, w, transposed=True).data``.
-        """
-        levels = unpack_signs(self.bits_t)
-        levels *= self.scales
-        return levels
 
 
 def weight_bits(w: DenseMatrix) -> WeightBits:
@@ -219,7 +209,7 @@ def weight_bits(w: DenseMatrix) -> WeightBits:
         np.greater_equal(centered, 0.0, out=signs[rows])
         scales[rows] = block_scales[:, 0]
     data.flags.writeable = False
-    w.cache = WeightBits(data, pack_bits(signs), pack_bits(signs.T), scales)
+    w.cache = WeightBits(data, pack_bits(signs), scales)
     return w.cache
 
 
@@ -331,8 +321,8 @@ def binarize_attention_01(
     else:
         out = DenseMatrix(alpha * np.clip(u, 0.0, 1.0))
     if tape is not None:
-        inside = ((u > 0.0) & (u < 1.0)).astype(np.float64)
-        sat_hi = (u >= 1.0).astype(np.float64)
+        inside = (u > 0.0) & (u < 1.0)
+        sat_hi = u >= 1.0
 
         def bwd():
             g = out.grad

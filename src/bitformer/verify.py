@@ -370,22 +370,19 @@ def _cache_matches_whole_matrix(w: DenseMatrix) -> bool:
     data = w.data
     centered = data - data.mean(axis=1, keepdims=True)
     scales = np.abs(data).mean(axis=1)
-    value_t = (np.where(centered >= 0.0, 1.0, -1.0) * scales[:, None]).T
     return (
         np.array_equal(w.cache.scales, scales)
         and np.array_equal(w.cache.bits.words, pack_signs(centered).words)
-        and np.array_equal(w.cache.bits_t.words, pack_signs(centered.T).words)
-        and np.array_equal(w.cache.value_t(), value_t)
     )
 
 
 def check_train_eval_agreement(seed: int = 0, instances: int = 20) -> CheckResult:
-    """Float-simulated and packed-kernel forwards agree on every logit.
+    """The taped float simulation and the packed-kernel forward agree on every logit.
 
-    Both routes read each block weight's cached bits, so their agreement
-    alone cannot catch a wrong cache: every cached weight is also checked
-    against its whole-matrix binarization in plain numpy, which shares no
-    code with :mod:`bitformer.quant`.
+    Both routes binarize through :mod:`bitformer.quant`, so their agreement
+    alone cannot catch a wrong weight binarization: every weight the packed
+    route cached is also checked against its whole-matrix binarization in
+    plain numpy, which shares no code with :mod:`bitformer.quant`.
     """
     rng = substream(seed, "verify-agree")
     cfg = ModelConfig(
@@ -402,7 +399,7 @@ def check_train_eval_agreement(seed: int = 0, instances: int = 20) -> CheckResul
         tokens = rng.integers(5, cfg.vocab, size=length)
         tokens[0] = 2
         segs = (np.arange(length) >= length // 2).astype(np.int64)
-        sim = forward(model, tokens, segs)
+        sim = forward(model, tokens, segs, tape=Tape())
         packed = forward_packed(model, tokens, segs)
         worst = max(
             worst,

@@ -33,6 +33,7 @@ from bitformer.model import (
     ModelConfig,
     binarize_linears,
     build_model,
+    encode,
     forward,
     forward_packed,
     load_checkpoint,
@@ -217,11 +218,27 @@ def test_packed_forward_matches_float_simulation(variant, rank):
     segs = np.array([0, 0, 0, 1, 1, 1, 0, 0])
     pad_mask = tokens != 0
 
-    sim = forward(model, tokens, segs, pad_mask=pad_mask)
+    sim = forward(model, tokens, segs, pad_mask=pad_mask, tape=Tape())
     packed = forward_packed(model, tokens, segs, pad_mask=pad_mask)
     assert np.max(np.abs(sim.mlm_logits.data - packed.mlm_logits)) < 1e-8
     assert np.max(np.abs(sim.nsp_logits.data - packed.nsp_logits)) < 1e-8
     assert len(packed.hidden_states) == cfg.layers + 1
+
+
+@pytest.mark.parametrize("variant,rank", [("bipft_a", 0), ("bipft_b", 2)])
+def test_untaped_forward_is_bitwise_the_packed_forward_at_init(variant, rank):
+    # no jitter: the fresh init's knife-edge activations are resolved by the
+    # one evaluation route, so the two calls cannot round them apart
+    model = build_model(tiny_config(variant=variant, rank=rank), seed=21)
+    tokens = np.array([2, 5, 6, 7, 8, 3, 0, 0])
+    segs = np.array([0, 0, 0, 1, 1, 1, 0, 0])
+    for pad_mask in (None, tokens != 0):
+        sim = forward(model, tokens, segs, pad_mask=pad_mask)
+        packed = forward_packed(model, tokens, segs, pad_mask=pad_mask)
+        for got, want in zip(sim.hidden_states, packed.hidden_states):
+            assert np.array_equal(got.data, want)
+        assert np.array_equal(sim.mlm_logits.data, packed.mlm_logits)
+        assert np.array_equal(sim.nsp_logits.data, packed.nsp_logits)
 
 
 # --------------------------------------------------------------------------
@@ -308,15 +325,15 @@ def test_padded_keys_never_reach_real_rows_at_negative_attention_thresholds(beta
     segs = (np.arange(cfg.max_seq) >= n_real // 2).astype(np.int64)
 
     for mode in ("hard", "relaxed"):
-        sim_a = forward(model, pad_a, segs, pad_mask=pad_mask, mode=mode)
-        sim_b = forward(model, pad_b, segs, pad_mask=pad_mask, mode=mode)
+        sim_a = forward(model, pad_a, segs, pad_mask=pad_mask, tape=Tape(), mode=mode)
+        sim_b = forward(model, pad_b, segs, pad_mask=pad_mask, tape=Tape(), mode=mode)
         for h_a, h_b in zip(sim_a.hidden_states, sim_b.hidden_states):
             assert np.array_equal(h_a.data[:n_real], h_b.data[:n_real])
     packed_a = forward_packed(model, pad_a, segs, pad_mask=pad_mask)
     packed_b = forward_packed(model, pad_b, segs, pad_mask=pad_mask)
     for h_a, h_b in zip(packed_a.hidden_states, packed_b.hidden_states):
         assert np.array_equal(h_a[:n_real], h_b[:n_real])
-    sim = forward(model, pad_a, segs, pad_mask=pad_mask)
+    sim = forward(model, pad_a, segs, pad_mask=pad_mask, tape=Tape())
     assert np.max(np.abs(sim.mlm_logits.data - packed_a.mlm_logits)) < 1e-8
     assert np.max(np.abs(sim.nsp_logits.data - packed_a.nsp_logits)) < 1e-8
 
@@ -674,11 +691,19 @@ def test_prepared_weights_are_refused_by_a_relaxed_forward():
     model = build_model(tiny_config(), seed=0)
     ids = np.array([2, 7, 8, 3])
     assert np.array_equal(
-        forward(model, ids, weights=binarize_linears(model, Tape())).mlm_logits.data,
-        forward(model, ids).mlm_logits.data,
+        forward(model, ids, tape=Tape(), weights=binarize_linears(model, Tape())).mlm_logits.data,
+        forward(model, ids, tape=Tape()).mlm_logits.data,
     )
     with pytest.raises(ValueError, match="hard-mode"):
         forward(model, ids, mode="relaxed", weights=binarize_linears(model, Tape()))
+
+
+def test_prepared_weights_are_refused_by_an_untaped_encode():
+    model = build_model(tiny_config(), seed=0)
+    ids = np.array([2, 7, 8, 3])
+    with pytest.raises(ValueError, match="taped hard-mode"):
+        encode(model, ids, weights=binarize_linears(model, Tape()))
+    assert np.array_equal(encode(model, ids, weights={})[-1].data, encode(model, ids)[-1].data)
 
 
 def test_named_parameters_are_unique_and_stable():

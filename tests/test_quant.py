@@ -184,15 +184,16 @@ def test_row_blocked_weight_backward_is_bitwise_the_whole_matrix_one(
 
 
 def assert_weight_bits_are_the_whole_matrix_binarization(w: np.ndarray) -> None:
-    """Cached bits, scales and the rebuilt matrix against the whole-matrix oracle and ``pack_signs``."""
+    """Cached bits and scales, and the matrix they make, against the whole-matrix oracle and ``pack_signs``."""
     got = weight_bits(DenseMatrix(w.copy()))
-    value_t, scales, _, _ = whole_matrix_prepare_weight(w, transposed=True)
+    value, scales, _, _ = whole_matrix_prepare_weight(w)
     centered = w - w.mean(axis=1, keepdims=True)
-    assert same_bits(got.value_t(), value_t)
+    rebuilt = unpack_signs(got.bits) * got.scales[:, None]
+    assert same_bits(rebuilt, value)
+    assert same_bits(rebuilt, binarize_weight(None, DenseMatrix(w)).data)
     assert same_bits(got.scales, scales[:, 0])
     assert np.array_equal(got.bits.words, pack_signs(centered).words)
-    assert np.array_equal(got.bits_t.words, pack_signs(centered.T).words)
-    assert (got.bits.rows, got.bits.cols, got.bits_t.rows, got.bits_t.cols) == (*w.shape, *w.shape[::-1])
+    assert (got.bits.rows, got.bits.cols) == w.shape
 
 
 def row_holding_its_mean(rng: np.random.Generator, cols: int) -> np.ndarray:
@@ -267,7 +268,8 @@ def test_weight_bits_are_kept_while_the_frozen_array_is_unchanged():
     w.data = -w.data  # a rebound array
     third = weight_bits(w)
     assert third is not second
-    assert np.array_equal(third.value_t(), binarize_weight(None, DenseMatrix(w.data), transposed=True).data)
+    rebuilt = unpack_signs(third.bits) * third.scales[:, None]
+    assert same_bits(rebuilt, binarize_weight(None, DenseMatrix(w.data)).data)
 
 
 def test_deferred_weight_backward_is_the_per_use_backward_of_the_summed_gradient():
@@ -408,7 +410,7 @@ def test_att01_backward_formulas():
     alpha, beta = 0.5, 0.1
     q = ElasticQuant.create(alpha=alpha, beta=beta)
     att = DenseMatrix([[0.05, 0.2, 0.4, 0.7, 0.9, -0.3]])
-    g = np.arange(1.0, 7.0).reshape(1, 6)
+    g = np.array([[1.0, -2.0, 3.0, -4.0, 5.0, -6.0]])  # negative outside the window: -0.0 terms
 
     tape = Tape()
     out = binarize_attention_01(tape, att, q)
@@ -416,12 +418,13 @@ def test_att01_backward_formulas():
     for _, fn in reversed(tape.ops):
         fn()
 
+    # the masks as float64 factors: the backward gives these bits exactly
     u = (att.data - beta) / alpha
     inside = ((u > 0) & (u < 1)).astype(float)
     sat_hi = (u >= 1).astype(float)
-    assert np.array_equal(att.grad, g * inside)
-    assert q.beta.grad[0, 0] == pytest.approx(float((-g * inside).sum()))
-    assert q.alpha.grad[0, 0] == pytest.approx(float((g * sat_hi).sum()))
+    assert same_bits(att.grad, 0.0 + g * inside)
+    assert same_bits(q.beta.grad, 0.0 - (g * inside).sum(axis=1, keepdims=True))
+    assert same_bits(q.alpha.grad, 0.0 + (g * sat_hi).sum(axis=1, keepdims=True))
 
 
 def test_att01_fd_all_three_against_surrogate():
