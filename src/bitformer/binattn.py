@@ -56,7 +56,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bitkernel import binary_gemm, pack_signs, ternary_binary_gemm
+from .bitkernel import PackedBitMatrix, binary_gemm, pack_signs, ternary_binary_gemm
 from .numerics import (
     Array,
     DenseMatrix,
@@ -78,6 +78,7 @@ from .quant import (
     ALPHA_FLOOR,
     ElasticQuant,
     QuantMode,
+    _slice_params,
     binarize_activation_pm1,
     binarize_attention_01,
     binarize_weight,
@@ -385,13 +386,17 @@ def binary_linear(
     return add_bias(tape, matmul(tape, aq, w_b), b)
 
 
-def _level(q: ElasticQuant) -> float:
-    return max(float(q.alpha.data[0, 0]), ALPHA_FLOOR)
+def _pack_shifted(x: Array, q: ElasticQuant | list[ElasticQuant]) -> tuple[PackedBitMatrix, Array]:
+    """Sign bits of ``x - beta`` (the ±1 pattern of ``binarize_activation_pm1``) and the floored level.
 
-
-def _pack_shifted(x: Array, q: ElasticQuant):
-    """Sign bits of ``x - beta``: the ±1 pattern of ``binarize_activation_pm1``."""
-    return pack_signs(x - float(q.beta.data[0, 0]))
+    ``x`` is a matrix with one binarizer or a stack with one per slice,
+    whose levels come back shaped (slices, 1, 1).
+    """
+    if isinstance(q, ElasticQuant):
+        alpha, beta = q.alpha.data[0, 0], q.beta.data[0, 0]
+    else:
+        _, alpha, beta = _slice_params(x, q)
+    return pack_signs(x - beta), np.maximum(alpha, ALPHA_FLOOR)
 
 
 def binary_linear_packed(a: Array, w: DenseMatrix, b: DenseMatrix, in_q: ElasticQuant) -> Array:
@@ -401,7 +406,10 @@ def binary_linear_packed(a: Array, w: DenseMatrix, b: DenseMatrix, in_q: Elastic
     :func:`~bitformer.quant.weight_bits` keeps on ``w``.
     """
     wb = weight_bits(w)
-    return binary_gemm(_pack_shifted(a, in_q), wb.bits, _level(in_q) * wb.scales).data + b.data
+    bits, level = _pack_shifted(a, in_q)
+    out = binary_gemm(bits, wb.bits, level * wb.scales).data
+    out += b.data
+    return out
 
 
 class SimOps:
@@ -453,8 +461,9 @@ class PackedOps(SimOps):
     activations are exact ±1-lattice cancellations), the integer accumulator
     and float summation may resolve its sign differently, so a model can
     evaluate slightly differently from how it trains there.  ``scores`` and
-    ``mix`` run the packed product of one head at a time and return the
-    stack of the heads' results.
+    ``mix`` pack each (heads, n, head width) stack once, against one
+    threshold per head, and run all heads as one stacked packed product
+    with one scale per head.
     """
 
     def attention(self, a, layer, key_mask) -> DenseMatrix:
@@ -464,24 +473,15 @@ class PackedOps(SimOps):
         return DenseMatrix(binary_linear_packed(a.data, w, b, in_q))
 
     def scores(self, q, k, q_bins, k_bins) -> DenseMatrix:
-        return DenseMatrix(
-            [
-                binary_gemm(_pack_shifted(qh, qb), _pack_shifted(kh, kb), _level(qb) * _level(kb)).data
-                for qh, kh, qb, kb in zip(q.data, k.data, q_bins, k_bins)
-            ]
-        )
+        q_bits, q_levels = _pack_shifted(q.data, q_bins)
+        k_bits, k_levels = _pack_shifted(k.data, k_bins)
+        return binary_gemm(q_bits, k_bits, q_levels * k_levels)
 
     def mix(self, sel, v, v_bins, att_bins) -> DenseMatrix:
-        return DenseMatrix(
-            [
-                ternary_binary_gemm(
-                    pack_signs(np.where(sh != 0.0, 1.0, -1.0)),
-                    _pack_shifted(vh.T, vb),  # gemm wants value rows as output columns
-                    float(ab.alpha.data[0, 0]) * _level(vb),
-                ).data
-                for sh, vh, vb, ab in zip(sel.data, v.data, v_bins, att_bins)
-            ]
-        )
+        # gemm wants value rows as output columns
+        v_bits, v_levels = _pack_shifted(v.data.swapaxes(-1, -2), v_bins)
+        sel_bits = pack_signs(np.where(sel.data != 0.0, 1.0, -1.0))
+        return ternary_binary_gemm(sel_bits, v_bits, _slice_params(sel.data, att_bins)[1] * v_levels)
 
 
 class FullPrecisionOps(SimOps):

@@ -14,15 +14,21 @@ runs the same ±1 accumulator loop: reading the selection bits as ±1 gives
 where ``ones . v`` costs one popcount per value row.  Both addends have the
 parity of ``n``, so the sum is even and the arithmetic shift is exact.
 
-Each row's word popcounts are summed by a float32 product with a ones vector.
-Every partial sum is an integer no larger than ``n``, so the sum is exact
-while ``n < 2**24``; wider operands are refused.  Accumulators are returned
-as exact int64 counts; a scale (scalar or per-output-column vector) is
-applied in a single rounding when reading out to float.
+The accumulator walks the words in word-major order: word ``w`` of a tile of
+rows is XORed against word ``w`` of every output row at once, its popcounts
+(at most 64) are summed three words at a time in ``uint8`` (at most 192),
+and those sums go into integer counters just wide enough for ``n``
+(``uint16`` below 2**16 columns, ``uint32`` below 2**32).  Every count is
+exact; accumulators come back as int64.  A packed matrix may be a stack
+``(..., rows, words)``, and the products broadcast over the leading axes,
+so all heads of an attention layer are one call.  A scale (scalar,
+per-output-column vector, or one per stack slice shaped ``(..., 1, 1)``)
+is applied in a single rounding when reading out to float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,89 +37,128 @@ from .numerics import Array, DenseMatrix
 
 WORD_BITS = 64
 
-# float32 holds every integer below 2**24 exactly: the word-sum limit on columns
-_EXACT_COLS = 1 << 24
+# popcounts of up to three words (at most 192) sum in uint8 before widening
+_WORD_GROUP = 3
 
-# XOR tiles of about 64K words (512 KB) stay in cache
-_TILE_WORDS = 1 << 16
+# row tiles of about 64K elements keep a tile's XOR words (512 KB) in cache
+_TILE_ELEMS = 1 << 16
 
 
 @dataclass
 class PackedBitMatrix:
-    """Row-major sign bits: ``words[i, w]`` holds logical columns 64w .. 64w+63.
+    """Row-major sign bits: ``words[..., i, w]`` holds logical columns 64w .. 64w+63.
 
-    The padding bits past ``cols`` in each row's last word are zero; the
-    kernels rely on it, and :func:`pack_signs` is what keeps it.
+    ``words`` is one matrix ``(rows, words)`` or a stack ``(..., rows,
+    words)``; ``rows`` and ``cols`` are its last two logical axes.  The
+    padding bits past ``cols`` in each row's last word are zero; the kernels
+    rely on it, and :func:`pack_signs` is what keeps it.
     """
 
     rows: int
     cols: int
-    words: Array  # (rows, ceil(cols/64)) uint64, padding bits zero
+    words: Array  # (..., rows, ceil(cols/64)) uint64, padding bits zero
 
     @property
     def words_per_row(self) -> int:
-        return self.words.shape[1]
+        return self.words.shape[-1]
 
 
 def pack_bits(bits: Array) -> PackedBitMatrix:
-    """Pack a 2-D boolean array along its rows; bit 1 where True."""
-    if bits.ndim != 2:
-        raise ValueError(f"packing needs a 2-D array, got shape {bits.shape}")
-    rows, cols = bits.shape
+    """Pack a boolean matrix, or a stack of them, along its last axis; bit 1 where True."""
+    if bits.ndim < 2:
+        raise ValueError(f"packing needs a matrix or a stack of them, got shape {bits.shape}")
+    rows, cols = bits.shape[-2:]
     if cols == 0:
         raise ValueError("cannot pack zero columns")
-    words = np.zeros((rows, -(-cols // WORD_BITS)), dtype="<u8")
-    words.view(np.uint8)[:, : -(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros(bits.shape[:-1] + (-(-cols // WORD_BITS),), dtype="<u8")
+    words.view(np.uint8)[..., : -(-cols // 8)] = np.packbits(bits, axis=-1, bitorder="little")
     return PackedBitMatrix(rows=rows, cols=cols, words=words)
 
 
 def pack_signs(x: Array) -> PackedBitMatrix:
-    """Pack sign bits of a 2-D array; bit 1 where x >= 0 (so sign(0) = +1)."""
+    """Pack sign bits of a matrix or stack; bit 1 where x >= 0 (so sign(0) = +1)."""
     return pack_bits(np.asarray(x) >= 0)
 
 
 def unpack_signs(p: PackedBitMatrix) -> Array:
     """Read packed bits back as float64 {-1,+1} values."""
     as_bytes = np.ascontiguousarray(p.words).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, count=p.cols, bitorder="little")
+    bits = np.unpackbits(as_bytes, axis=-1, count=p.cols, bitorder="little")
     levels = np.multiply(bits, 2.0, dtype=np.float64)
     levels -= 1.0
     return levels
 
 
 def _pm1_dots(a: PackedBitMatrix, b_t: PackedBitMatrix) -> Array:
-    """The one ±1 accumulator loop: ``cols - 2 * popcount(a XOR b)`` over cache-sized tiles.
+    """The one ±1 accumulator loop: ``cols - 2 * popcount(a XOR b)``, word-major over row tiles.
 
-    A tile is a block of ``a`` rows against a block of ``b_t`` rows (all of
-    them unless one ``a`` row against all would exceed a tile).
+    The leading axes of ``a`` and ``b_t`` broadcast.  A tile is a block of
+    ``a`` rows of every stack slice against all ``b_t`` rows; ``b_t`` is read
+    from a ``(words, rows)`` copy, so each word step reads one contiguous row.
     """
     if a.cols != b_t.cols:
         raise ValueError(f"width mismatch: {a.cols} vs {b_t.cols} logical columns")
-    if a.cols >= _EXACT_COLS:
-        raise ValueError(f"{a.cols} columns: the float32 word sum is exact only below 2**24")
-    per_row = a.words_per_row
-    ones = np.ones(per_row, dtype=np.float32)
-    out = np.empty((a.rows, b_t.rows), dtype=np.int64)
-    col_step = max(1, _TILE_WORDS // per_row)
-    row_step = max(1, _TILE_WORDS // (per_row * max(1, min(b_t.rows, col_step))))
-    for lo in range(0, a.rows, row_step):
-        for col in range(0, b_t.rows, col_step):
-            diff = a.words[lo : lo + row_step, None, :] ^ b_t.words[None, col : col + col_step, :]
-            mismatches = np.bitwise_count(diff).astype(np.float32) @ ones
-            out[lo : lo + row_step, col : col + col_step] = a.cols - 2 * mismatches
-    return out
+    cols, per_row = a.cols, a.words_per_row
+    a_words, b_words = a.words, b_t.words
+    lead = a_words.shape[:-2]
+    if b_words.shape[:-2] != lead:
+        lead = np.broadcast_shapes(lead, b_words.shape[:-2])
+        a_words = np.broadcast_to(a_words, lead + a_words.shape[-2:])
+        b_words = np.broadcast_to(b_words, lead + b_words.shape[-2:])
+    slices = math.prod(lead)
+    a_words = a_words.reshape(slices, a.rows, per_row)
+    b_major = np.ascontiguousarray(b_words.reshape(slices, b_t.rows, per_row).transpose(0, 2, 1))
+    b_major = b_major[:, :, None, :]  # (slices, words, 1, rows): word w broadcasts over the tile's rows
+    out = np.empty((slices, a.rows, b_t.rows), dtype=np.int64)
+    tiles = max(1, -(-out.size // _TILE_ELEMS))
+    step = max(1, -(-a.rows // tiles))  # even row tiles of at most about _TILE_ELEMS outputs
+    shape = (slices, step, b_t.rows)
+    diff, group = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint8)
+    spare = np.empty(shape, dtype=np.uint8) if per_row > 1 else None
+    # counts of at most cols mismatches; three words or fewer fit the uint8 group
+    counts = group if per_row <= _WORD_GROUP else np.empty(shape, dtype=np.min_scalar_type(cols))
+    # numpy copies a broadcast operand through its ufunc buffer, several
+    # output rows per chunk, which makes the XOR about 3x slower; a buffer one
+    # output row long keeps each row one vector loop.  Rows shorter than 64
+    # and products within one buffer are as fast without the switch.
+    small_buffer = b_t.rows >= 64 and out.size * per_row > np.getbufsize()
+    bufsize = np.setbufsize(-(-b_t.rows // 16) * 16) if small_buffer else None
+    try:
+        for lo in range(0, a.rows, step):
+            n = min(step, a.rows - lo)
+            d, g, c = diff[:, :n], group[:, :n], counts[:, :n]
+            for w in range(per_row):
+                np.bitwise_xor(a_words[:, lo : lo + n, w, None], b_major[:, w], out=d)
+                k = w % _WORD_GROUP
+                if k == 0:
+                    np.bitwise_count(d, out=g)
+                else:
+                    g += np.bitwise_count(d, out=spare[:, :n])
+                if counts is not group and (k == _WORD_GROUP - 1 or w == per_row - 1):
+                    if w < _WORD_GROUP:
+                        c[...] = g
+                    else:
+                        c += g
+            o = out[:, lo : lo + n]
+            np.subtract(np.int64(cols), c, out=o)
+            o -= c
+    finally:
+        if bufsize is not None:
+            np.setbufsize(bufsize)
+    return out.reshape(lead + (a.rows, b_t.rows))
 
 
 def binary_accumulate(a: PackedBitMatrix, b_t: PackedBitMatrix) -> Array:
-    """Exact int64 ±1 products: out[i, j] = row_i(a) . row_j(b_t)."""
+    """Exact int64 ±1 products: out[..., i, j] = row_i(a) . row_j(b_t), per stack slice."""
     return _pm1_dots(a, b_t)
 
 
 def binary_gemm(a: PackedBitMatrix, b_t: PackedBitMatrix, scale: float | Array) -> DenseMatrix:
     """Scaled ±1 GEMM; b_t is stored transposed (its rows are output columns).
 
-    ``scale`` is a scalar or a per-output-column vector of length b_t.rows;
-    the readout is a single float multiply of the exact integer accumulator.
+    ``scale`` is a scalar, a per-output-column vector of length b_t.rows, or
+    one scale per stack slice shaped ``(..., 1, 1)``; the readout is a single
+    float multiply of the exact integer accumulator.
     """
     return DenseMatrix(binary_accumulate(a, b_t) * scale)
 
@@ -123,15 +168,18 @@ def ternary_accumulate(sel: PackedBitMatrix, v_t: PackedBitMatrix) -> Array:
 
     ``sel`` bits read as selection (bit 1 keeps the value); reading the same
     bits as ±1 and adding the all-ones product halves back to the selection
-    semantics with one arithmetic shift.
+    semantics with one arithmetic shift.  Stacks broadcast as in
+    :func:`binary_accumulate`.
     """
-    pm_dot = _pm1_dots(sel, v_t)
-    ones_dot = 2 * np.bitwise_count(v_t.words).sum(axis=1, dtype=np.int64) - sel.cols
-    return (pm_dot + ones_dot[None, :]) >> 1
+    out = _pm1_dots(sel, v_t)
+    ones_dot = 2 * np.bitwise_count(v_t.words).sum(axis=-1, dtype=np.int64) - sel.cols
+    out += ones_dot[..., None, :]
+    out >>= 1
+    return out
 
 
 def ternary_binary_gemm(sel: PackedBitMatrix, v_t: PackedBitMatrix, scale: float | Array) -> DenseMatrix:
-    """Scaled selection GEMM: out[i, j] = scale_j * (sel_i . v_j)."""
+    """Scaled selection GEMM: out[..., i, j] = scale * (sel_i . v_j), scale as in :func:`binary_gemm`."""
     return DenseMatrix(ternary_accumulate(sel, v_t) * scale)
 
 

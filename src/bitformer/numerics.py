@@ -425,13 +425,19 @@ def gelu(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     The cube is the product ``x * x * x``: numpy runs ``x**3`` through libm
     ``pow`` per element, tens of times slower than two multiplies.  The
     square is bitwise what numpy computes for ``x**2``, so the backward
-    reuses it unchanged.
+    reuses it unchanged.  The tanh argument is built in place in one buffer,
+    in the formula's order, which the backward keeps as ``tanh``.
     """
     x = a.data
     x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * (x2 * x))
-    t = np.tanh(inner)
-    out = DenseMatrix(0.5 * x * (1.0 + t))
+    t = x2 * x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * x
+    y *= 1.0 + t
+    out = DenseMatrix(y)
     if tape is not None:
 
         def bwd():

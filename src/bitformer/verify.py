@@ -80,41 +80,49 @@ class CheckResult:
 # --------------------------------------------------------------------------
 
 
+def _stack_shape(rng, i: int) -> tuple[int, ...]:
+    """Every other instance is a stack of 2-4 slices, as an attention layer's heads are."""
+    return (int(rng.integers(2, 5)),) if i % 2 else ()
+
+
 def check_kernel_oracle(seed: int = 0, instances: int = 500, max_dim: int = 130) -> CheckResult:
-    """Packed ±1 GEMM accumulators exactly equal the float product."""
+    """Packed ±1 GEMM accumulators exactly equal the float product, for matrices and stacks."""
     rng = substream(seed, "verify-kernel")
     start = time.perf_counter()
     worst = 0
-    for _ in range(instances):
+    for i in range(instances):
         m, k, n = (int(rng.integers(1, max_dim + 1)) for _ in range(3))
-        a = np.where(rng.random((m, k)) < 0.5, -1.0, 1.0)
-        b = np.where(rng.random((n, k)) < 0.5, -1.0, 1.0)
+        lead = _stack_shape(rng, i)
+        a = np.where(rng.random(lead + (m, k)) < 0.5, -1.0, 1.0)
+        b = np.where(rng.random(lead + (n, k)) < 0.5, -1.0, 1.0)
         got = binary_accumulate(pack_signs(a), pack_signs(b))
-        want = (a @ b.T).astype(np.int64)
+        want = (a @ b.swapaxes(-1, -2)).astype(np.int64)
         worst = max(worst, int(np.abs(got - want).max()))
     elapsed = time.perf_counter() - start
     return CheckResult(
         name="kernel-oracle",
         passed=worst == 0 and elapsed < 10.0,
-        detail=f"{instances} instances, dims <= {max_dim}, max |diff| = {worst}, {elapsed:.2f}s",
+        detail=f"{instances} instances ({instances // 2} stacked), dims <= {max_dim}, "
+        f"max |diff| = {worst}, {elapsed:.2f}s",
     )
 
 
 def check_ternary_trick(seed: int = 0, instances: int = 500, max_dim: int = 96) -> CheckResult:
-    """Selection-times-sign products computed by the shift identity are exact."""
+    """Selection-times-sign products computed by the shift identity are exact, for matrices and stacks."""
     rng = substream(seed, "verify-ternary")
     worst = 0
-    for _ in range(instances):
+    for i in range(instances):
         m, k, n = (int(rng.integers(1, max_dim + 1)) for _ in range(3))
-        sel = (rng.random((m, k)) < 0.5).astype(np.float64)
-        v = np.where(rng.random((n, k)) < 0.5, -1.0, 1.0)
+        lead = _stack_shape(rng, i)
+        sel = (rng.random(lead + (m, k)) < 0.5).astype(np.float64)
+        v = np.where(rng.random(lead + (n, k)) < 0.5, -1.0, 1.0)
         got = ternary_accumulate(pack_signs(2.0 * sel - 1.0), pack_signs(v))
-        want = (sel @ v.T).astype(np.int64)
+        want = (sel @ v.swapaxes(-1, -2)).astype(np.int64)
         worst = max(worst, int(np.abs(got - want).max()))
     return CheckResult(
         name="ternary-trick",
         passed=worst == 0,
-        detail=f"{instances} instances, dims <= {max_dim}, max |diff| = {worst}",
+        detail=f"{instances} instances ({instances // 2} stacked), dims <= {max_dim}, max |diff| = {worst}",
     )
 
 

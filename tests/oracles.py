@@ -78,6 +78,22 @@ def gelu_scalar(x: float) -> float:
     return 0.5 * x * (1.0 + math.tanh(c * (x + 0.044715 * x**3)))
 
 
+def gelu_whole_expressions(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GeLU forward and input gradient as whole-array expressions, one temporary per step.
+
+    This is ``numerics.gelu`` before it built the tanh argument in place; the
+    in-place form must give the same bits.
+    """
+    c = np.sqrt(2.0 / np.pi)
+    x2 = x * x
+    inner = c * (x + 0.044715 * (x2 * x))
+    t = np.tanh(inner)
+    out = 0.5 * x * (1.0 + t)
+    dinner = c * (1.0 + 3 * 0.044715 * x2)
+    dt = (1.0 - t * t) * dinner
+    return out, g * (0.5 * (1.0 + t) + 0.5 * x * dt)
+
+
 def central_difference(
     f: Callable[[Sequence[np.ndarray]], float],
     arrays: Sequence[np.ndarray],
@@ -241,14 +257,16 @@ def per_head_attend(ops, a, layer, key_mask=None, trace=None):
         PAD_SCORE_BIAS,
         FullPrecisionOps,
         PackedOps,
-        _level,
         _pack_shifted,
         head_rank_blocks,
         score_residual,
     )
     from bitformer.bitkernel import binary_gemm, pack_signs, ternary_binary_gemm
     from bitformer.numerics import add, add_constant, matmul, scale, slice_cols, softmax_rows, transpose
-    from bitformer.quant import binarize_activation_pm1, binarize_attention_01
+    from bitformer.quant import ALPHA_FLOOR, binarize_activation_pm1, binarize_attention_01
+
+    def floored_level(q):
+        return max(float(q.alpha.data[0, 0]), ALPHA_FLOOR)
 
     tape, mode = ops.tape, ops.mode
     full, packed = isinstance(ops, FullPrecisionOps), isinstance(ops, PackedOps)
@@ -257,8 +275,8 @@ def per_head_attend(ops, a, layer, key_mask=None, trace=None):
         if full:
             return matmul(tape, q_h, transpose(tape, k_h))
         if packed:
-            bits_q, bits_k = _pack_shifted(q_h.data, q_bin), _pack_shifted(k_h.data, k_bin)
-            return binary_gemm(bits_q, bits_k, _level(q_bin) * _level(k_bin))
+            bits_q, bits_k = _pack_shifted(q_h.data, q_bin)[0], _pack_shifted(k_h.data, k_bin)[0]
+            return binary_gemm(bits_q, bits_k, floored_level(q_bin) * floored_level(k_bin))
         qb = binarize_activation_pm1(tape, q_h, q_bin, mode)
         kb = binarize_activation_pm1(tape, k_h, k_bin, mode)
         return matmul(tape, qb, transpose(tape, kb))
@@ -268,8 +286,8 @@ def per_head_attend(ops, a, layer, key_mask=None, trace=None):
             return matmul(tape, sel, v_h)
         if packed:
             bits_sel = pack_signs(np.where(sel.data != 0.0, 1.0, -1.0))
-            level = float(att_bin.alpha.data[0, 0]) * _level(v_bin)
-            return ternary_binary_gemm(bits_sel, _pack_shifted(v_h.data.T, v_bin), level)
+            level = float(att_bin.alpha.data[0, 0]) * floored_level(v_bin)
+            return ternary_binary_gemm(bits_sel, _pack_shifted(v_h.data.T, v_bin)[0], level)
         return matmul(tape, sel, binarize_activation_pm1(tape, v_h, v_bin, mode))
 
     dk = layer.head_width

@@ -58,13 +58,15 @@ OP_SETS = {
 }
 
 
-def generic_layer(rank: int, binary: bool, seed: int = 11) -> AttentionLayerState:
+def generic_layer(rank: int, binary: bool, seed: int = 11, hidden: int = 16) -> AttentionLayerState:
     """A 4-head layer away from init: spread weights, estimators and binarizer settings.
 
     One head's query level sits below the floor, so its level gradient is gated.
     """
     rng = np.random.default_rng(seed)
-    layer = make_attention_layer(InitTensors(rng), hidden=16, heads=4, rank=rank, seq_hint=8, binary=binary)
+    layer = make_attention_layer(
+        InitTensors(rng), hidden=hidden, heads=4, rank=rank, seq_hint=8, binary=binary
+    )
     for w in (layer.wq, layer.wk, layer.wv, layer.wo):
         w.data *= 25.0
     if layer.estimators is not None:
@@ -85,18 +87,35 @@ def layer_tensors(layer: AttentionLayerState) -> list[DenseMatrix]:
     return [t for t in _state_nodes(layer, []) if isinstance(t, DenseMatrix)]
 
 
+RANKS = pytest.mark.parametrize(
+    "rank", [0, 8, 6, 3], ids=["no-est", "even-blocks", "uneven-blocks", "rank-below-heads"]
+)
+PADDING = pytest.mark.parametrize("padded", [False, True], ids=["all-keys", "padded-keys"])
+
+
 @pytest.mark.parametrize("op_set", list(OP_SETS))
-@pytest.mark.parametrize("rank", [0, 8, 6, 3], ids=["no-est", "even-blocks", "uneven-blocks", "rank-below-heads"])
-@pytest.mark.parametrize("padded", [False, True], ids=["all-keys", "padded-keys"])
+@RANKS
+@PADDING
 def test_stacked_attend_equals_the_per_head_loop_bitwise(op_set, rank, padded):
-    n = 7
+    assert_stacked_attend_is_the_per_head_loop(op_set, rank, padded, n=7, hidden=16)
+
+
+@pytest.mark.parametrize("op_set", list(OP_SETS))
+@RANKS
+@PADDING
+def test_stacked_attend_spanning_two_words_equals_the_per_head_loop_bitwise(op_set, rank, padded):
+    # head width 72 and length 70: the packed scores and value mix each span two words
+    assert_stacked_attend_is_the_per_head_loop(op_set, rank, padded, n=70, hidden=288)
+
+
+def assert_stacked_attend_is_the_per_head_loop(op_set, rank, padded, n, hidden):
     rng = np.random.default_rng(100 + rank)
-    a_data = rng.normal(size=(n, 16))
-    coeffs = rng.normal(size=(n, 16))
-    key_mask = np.arange(n) < 5 if padded else None
+    a_data = rng.normal(size=(n, hidden))
+    coeffs = rng.normal(size=(n, hidden))
+    key_mask = np.arange(n) < n - 2 if padded else None
     runs = []
     for attend_fn in (attend, per_head_attend):
-        layer = generic_layer(rank, binary=op_set != "full-precision")
+        layer = generic_layer(rank, binary=op_set != "full-precision", hidden=hidden)
         a = DenseMatrix(a_data.copy())
         tape = None if op_set == "packed" else Tape()
         trace: dict = {}

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from bitformer import bitkernel
 from bitformer.bitkernel import (
-    PackedBitMatrix,
     binary_accumulate,
     binary_gemm,
     equivalent_flops,
@@ -31,12 +30,12 @@ from oracles import naive_sign_dot, naive_ternary_dot
 RNG = np.random.default_rng(1234)
 
 
-def random_signs(rng, rows, cols):
-    return rng.choice([-1.0, 1.0], size=(rows, cols))
+def random_signs(rng, *shape):
+    return rng.choice([-1.0, 1.0], size=shape)
 
 
-def random_bits01(rng, rows, cols):
-    return rng.integers(0, 2, size=(rows, cols)).astype(np.float64)
+def random_bits01(rng, *shape):
+    return rng.integers(0, 2, size=shape).astype(np.float64)
 
 
 # --------------------------------------------------------------------------
@@ -154,22 +153,27 @@ def test_binary_gemm_matches_loop_oracle(m, n, k, seed):
             assert got[i, j] == naive_sign_dot(a[i].astype(int), b[j].astype(int))
 
 
-def test_accumulator_refuses_widths_its_float32_word_sum_cannot_hold_exactly():
-    cols = 2**24
-    wide = PackedBitMatrix(rows=1, cols=cols, words=np.zeros((1, cols // 64), dtype=np.uint64))
-    with pytest.raises(ValueError, match=r"2\*\*24"):
-        binary_accumulate(wide, wide)
-    with pytest.raises(ValueError, match=r"2\*\*24"):
-        ternary_accumulate(wide, wide)
+@pytest.mark.parametrize("cols", [2**16 - 1, 2**16, 2**16 + 1])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_accumulators_are_exact_across_the_counter_width_switch(cols, rows):
+    # below 2**16 columns the mismatch counters are uint16, from 2**16 on
+    # uint32; all-disagreeing rows count every column as a mismatch
+    rng = np.random.default_rng(cols + rows)
+    a = random_signs(rng, rows, cols)
+    b = np.concatenate([-a[:1], random_signs(rng, rows - 1, cols)])
+    want = a @ b.T
+    assert want[0, 0] == -cols
+    assert np.array_equal(binary_accumulate(pack_signs(a), pack_signs(b)), want)
+    sel = (a + 1.0) / 2.0
+    assert np.array_equal(ternary_accumulate(pack_signs(a), pack_signs(b)), sel @ b.T)
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 129])
-@pytest.mark.parametrize("out_rows", [11, 3])  # several column tiles; one column tile, several row tiles
+@pytest.mark.parametrize("out_rows", [11, 3])  # one input row per tile; several input rows per tile
 def test_accumulators_match_loop_oracles_across_ragged_tiles(monkeypatch, width, out_rows):
-    # 8-word tiles: at one word per row, 11 output rows split 8 + 3 and 3
-    # output rows let 2 input rows share a tile (2, 2, 2, 1); wider rows
-    # split the output rows further
-    monkeypatch.setattr(bitkernel, "_TILE_WORDS", 8)
+    # tiles of at most 8 outputs: against 11 output rows each of the 7 input
+    # rows is its own tile; against 3 they split evenly into 3 + 3 + 1 rows
+    monkeypatch.setattr(bitkernel, "_TILE_ELEMS", 8)
     rng = np.random.default_rng(width * 100 + out_rows)
     a = random_signs(rng, 7, width)
     sel = random_bits01(rng, 7, width)
@@ -180,6 +184,68 @@ def test_accumulators_match_loop_oracles_across_ragged_tiles(monkeypatch, width,
         for j in range(out_rows):
             assert got[i, j] == naive_sign_dot(a[i].astype(int), b[j].astype(int))
             assert got_sel[i, j] == naive_ternary_dot(sel[i].astype(int), b[j].astype(int))
+
+
+# --------------------------------------------------------------------------
+# stacks: leading axes broadcast, one scale per slice
+# --------------------------------------------------------------------------
+
+
+def test_pack_stacks_each_slice_as_its_own_matrix():
+    x = RNG.normal(size=(2, 3, 5, 70))
+    p = pack_signs(x)
+    assert (p.rows, p.cols, p.words.shape) == (5, 70, (2, 3, 5, 2))
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(p.words[i, j], pack_signs(x[i, j]).words)
+    assert np.array_equal(unpack_signs(p), np.where(x >= 0, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("words", [1, 2, 12, 48])
+@pytest.mark.parametrize("tile_elems", [30, 1 << 16], ids=["ragged-tiles", "one-tile"])
+def test_stacked_accumulators_equal_per_slice_calls_bitwise(monkeypatch, words, tile_elems):
+    # 30 outputs a tile: 3 slices x 4 outputs per input row make row tiles of 3 + 3 + 1
+    monkeypatch.setattr(bitkernel, "_TILE_ELEMS", tile_elems)
+    rng = np.random.default_rng(words)
+    cols = 64 * words - 5
+    a = random_signs(rng, 3, 7, cols)
+    b = random_signs(rng, 3, 4, cols)
+    sel = random_bits01(rng, 3, 7, cols)
+    got = binary_accumulate(pack_signs(a), pack_signs(b))
+    got_sel = ternary_accumulate(pack_signs(sel * 2 - 1), pack_signs(b))
+    assert got.shape == got_sel.shape == (3, 7, 4)
+    monkeypatch.setattr(bitkernel, "_TILE_ELEMS", 1 << 16)
+    for h in range(3):
+        assert got[h].tobytes() == binary_accumulate(pack_signs(a[h]), pack_signs(b[h])).tobytes()
+        want_sel = ternary_accumulate(pack_signs(sel[h] * 2 - 1), pack_signs(b[h]))
+        assert got_sel[h].tobytes() == want_sel.tobytes()
+    assert np.array_equal(got, a @ b.swapaxes(-1, -2))
+    assert np.array_equal(got_sel, sel @ b.swapaxes(-1, -2))
+
+
+def test_leading_axes_broadcast_like_matmul():
+    a = random_signs(RNG, 2, 1, 5, 70)
+    b = random_signs(RNG, 3, 4, 70)  # one matrix per slice of the second axis
+    got = binary_accumulate(pack_signs(a), pack_signs(b))
+    assert np.array_equal(got, a @ b.swapaxes(-1, -2))
+    shared = random_signs(RNG, 4, 70)  # one matrix for every slice
+    got = binary_accumulate(pack_signs(a[:, 0]), pack_signs(shared))
+    assert np.array_equal(got, a[:, 0] @ shared.T)
+
+
+def test_stacked_gemms_read_out_one_scale_per_slice():
+    a = random_signs(RNG, 3, 6, 90)
+    b = random_signs(RNG, 3, 5, 90)
+    sel = random_bits01(RNG, 3, 6, 90)
+    scales = np.array([0.5, -1.25, 3.0]).reshape(3, 1, 1)
+    out = binary_gemm(pack_signs(a), pack_signs(b), scales).data
+    out_sel = ternary_binary_gemm(pack_signs(sel * 2 - 1), pack_signs(b), scales).data
+    for h in range(3):
+        scale = float(scales[h, 0, 0])
+        want = binary_gemm(pack_signs(a[h]), pack_signs(b[h]), scale).data
+        want_sel = ternary_binary_gemm(pack_signs(sel[h] * 2 - 1), pack_signs(b[h]), scale).data
+        assert out[h].tobytes() == want.tobytes()
+        assert out_sel[h].tobytes() == want_sel.tobytes()
 
 
 # --------------------------------------------------------------------------

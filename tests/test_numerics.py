@@ -39,7 +39,14 @@ from bitformer.numerics import (
     transpose,
 )
 
-from oracles import central_difference, gelu_scalar, log_softmax_row, naive_matmul, relative_error
+from oracles import (
+    central_difference,
+    gelu_scalar,
+    gelu_whole_expressions,
+    log_softmax_row,
+    naive_matmul,
+    relative_error,
+)
 
 RNG = np.random.default_rng(20260816)
 
@@ -401,6 +408,23 @@ def test_gelu_matches_scalar_oracle():
     for got, x in zip(out, xs[0]):
         assert got == pytest.approx(gelu_scalar(float(x)), abs=1e-12)
     assert gelu(None, DenseMatrix([[0.0]])).data[0, 0] == 0.0
+
+
+def test_gelu_in_place_is_bitwise_the_whole_expression_form():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(71, 300)) * 3.0
+    x[:7] *= np.logspace(-310, 300, 300)
+    x[0, :12] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, 1e-154, 20.0, -20.0]
+    g = rng.normal(size=x.shape)
+    with np.errstate(all="ignore"):
+        want_out, want_grad = gelu_whole_expressions(x, g)
+        a = DenseMatrix(x.copy())
+        tape = Tape()
+        out = gelu(tape, a)
+        out.ensure_grad()[...] = g
+        tape.replay()
+    assert out.data.tobytes() == want_out.tobytes()
+    assert a.grad.tobytes() == (np.zeros_like(x) + want_grad).tobytes()  # grads accumulate onto +0.0
 
 
 def test_gelu_backward_fd():
