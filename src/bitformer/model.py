@@ -44,10 +44,12 @@ Checkpoints are a single little-endian binary container: magic, version,
 config JSON, named float32 tensors, and a trailing 8-byte BLAKE2b digest
 (``hashlib.blake2b``, ``digest_size=8``) of everything before it; this is
 version 2, and files of any other version are refused by name.  Writes are
-atomic (temporary file, then rename).  Loads verify magic, version, and
-checksum before parsing.  Loading a model builds it from the file with no
-init (no random draw, no SVD): the loaded arrays become the parameters, and
-the declaration checks the tensor inventory both ways, then the shapes.
+atomic (temporary file, then rename).  One worker thread computes the digest
+while a save writes the records and while a load parses them; a load checks
+magic and version first, and reports a wrong checksum before any layout
+fault.  Loading a model builds it from the file with no init (no random
+draw, no SVD): the loaded arrays become the parameters, and the declaration
+checks the tensor inventory both ways, then the shapes.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ import hashlib
 import json
 import math
 import os
+import queue
 import struct
+import threading
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -565,39 +569,84 @@ _MAGIC = b"BPFT"
 _VERSION = 2
 
 
-def _checksum(data) -> bytes:
-    return hashlib.blake2b(data, digest_size=8).digest()
+class _DigestWorker:
+    """The checkpoint trailer, BLAKE2b-8 of byte chunks, hashed on one worker thread.
+
+    Chunks are hashed in the order :meth:`update` receives them while the
+    caller goes on writing or parsing; ``hashlib`` releases the GIL for large
+    buffers, so the hashing overlaps that work when a second core is free (on
+    one core it costs what hashing in line costs).  A chunk must not change
+    until :meth:`digest` returns.  The thread lives inside a ``with`` block:
+    leaving the block joins it on every path, and :meth:`digest` joins it and
+    re-raises any exception the worker hit.
+    """
+
+    def __init__(self):
+        self._chunks: queue.SimpleQueue = queue.SimpleQueue()
+        self._hash = hashlib.blake2b(digest_size=8)
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._run, name="checkpoint-digest", daemon=True)
+
+    def _run(self) -> None:
+        try:
+            while (chunk := self._chunks.get()) is not None:
+                self._hash.update(chunk)
+        except BaseException as err:  # handed to the caller by digest()
+            self._error = err
+
+    def __enter__(self) -> "_DigestWorker":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._join()
+
+    def _join(self) -> None:
+        self._chunks.put(None)  # a second stop after digest() is never read
+        self._thread.join()
+
+    def update(self, chunk) -> None:
+        self._chunks.put(chunk)
+
+    def digest(self) -> bytes:
+        self._join()
+        if self._error is not None:
+            raise self._error
+        return self._hash.digest()
 
 
 def save_checkpoint(path, model: Model) -> None:
     """Write config and all named tensors (float32) with a trailing checksum.
 
-    The bytes go to a temporary file in the same directory, are synced, and
-    replace ``path`` in one rename, so a failed write leaves any earlier
-    checkpoint at ``path`` intact.
+    Each record (the header, each tensor's name and dims, each tensor's
+    float32 buffer) is written straight to a temporary file in the same
+    directory and handed to the digest, which one worker thread computes
+    meanwhile; no image of the whole file is built (a buffer lives until it
+    is hashed), and the bytes are those of an in-line hash.  The overlap needs a second free core; on one
+    core the digest costs what it always did.  The file is synced and
+    replaces ``path`` in one rename, so a failed write leaves any earlier
+    checkpoint at ``path`` intact and no temporary file behind.
     """
-    buf = bytearray()
-    buf += _MAGIC
-    buf += struct.pack("<I", _VERSION)
     cfg_bytes = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
-    buf += struct.pack("<Q", len(cfg_bytes))
-    buf += cfg_bytes
     params = named_parameters(model)
-    buf += struct.pack("<I", len(params))
-    for name, p in params:
-        nb = name.encode("utf-8")
-        buf += struct.pack("<H", len(nb))
-        buf += nb
-        buf += struct.pack("<B", p.data.ndim)
-        for dim in p.data.shape:
-            buf += struct.pack("<Q", dim)
-        buf += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-    buf += _checksum(buf)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(buf)
-        with tmp.open("rb") as f:
+        with tmp.open("wb") as f, _DigestWorker() as digest:
+
+            def put(record) -> None:
+                digest.update(record)
+                f.write(record)
+
+            put(_MAGIC + struct.pack("<IQ", _VERSION, len(cfg_bytes)) + cfg_bytes)
+            put(struct.pack("<I", len(params)))
+            for name, p in params:
+                nb = name.encode("utf-8")
+                shape = p.data.shape
+                put(struct.pack("<H", len(nb)) + nb + struct.pack(f"<B{len(shape)}Q", len(shape), *shape))
+                put(memoryview(np.ascontiguousarray(p.data, dtype="<f4")))
+            f.write(digest.digest())
+            f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
@@ -624,7 +673,16 @@ class _Cursor:
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Array]]:
-    """Read and verify a checkpoint; tensors come back as float64 arrays."""
+    """Read and verify a checkpoint; tensors come back as float64 arrays.
+
+    The whole file is read once and held while it loads.  Length, magic and
+    version are checked first; then one worker thread hashes the body while
+    this thread parses it and casts the tensors.  The overlap needs a second
+    free core; on one core the digest costs what it always did.  Errors keep
+    their order: a bad magic or version, then a checksum mismatch (any parse
+    failure of a file whose digest is wrong is reported as the mismatch),
+    then a broken layout.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < len(_MAGIC) + 4 + 8:
         raise CheckpointFormatError(f"file too short to be a checkpoint ({len(raw)} bytes)")
@@ -634,12 +692,25 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Array]]:
     if version != _VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     body = memoryview(raw)[:-8]
-    stored, actual = raw[-8:], _checksum(body)
+    parse_error: Exception | None = None
+    with _DigestWorker() as digest:
+        digest.update(body)
+        try:
+            parsed = _parse_body(body)
+        except Exception as err:  # raised below once the checksum has been checked
+            parse_error = err
+        actual = digest.digest()
+    stored = raw[-8:]
     if stored != actual:
         raise CheckpointChecksumError(
             f"checksum mismatch: stored {stored.hex()}, computed {actual.hex()}"
         )
+    if parse_error is not None:
+        raise parse_error
+    return parsed
 
+
+def _parse_body(body: memoryview) -> tuple[ModelConfig, dict[str, Array]]:
     cur = _Cursor(body)
     cur.take(len(_MAGIC) + 4)
     (cfg_len,) = cur.unpack("<Q")

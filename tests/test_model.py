@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import struct
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -481,12 +483,24 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_flipped_payload_byte(tmp_path):
-    path = tmp_path / "m.bin"
-    save_checkpoint(path, build_model(tiny_config(), seed=0))
+def _flip_payload(path):
     raw = bytearray(path.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     path.write_bytes(bytes(raw))
+
+
+def _bad_tensor_name(path):
+    """Re-hashed, so only the first tensor name is wrong: a lone 0xFF byte is never UTF-8."""
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"emb.tok")] = 0xFF
+    raw[-8:] = hashlib.blake2b(raw[:-8], digest_size=8).digest()
+    path.write_bytes(bytes(raw))
+
+
+def test_checkpoint_rejects_flipped_payload_byte(tmp_path):
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, build_model(tiny_config(), seed=0))
+    _flip_payload(path)
     with pytest.raises(CheckpointChecksumError):
         load_checkpoint(path)
 
@@ -494,11 +508,7 @@ def test_checkpoint_rejects_flipped_payload_byte(tmp_path):
 def test_checkpoint_with_a_non_utf8_tensor_name_is_a_format_error(tmp_path):
     path = tmp_path / "m.bin"
     save_checkpoint(path, build_model(tiny_config(), seed=0))
-    raw = bytearray(path.read_bytes())
-    first = raw.index(b"emb.tok")
-    raw[first] = 0xFF  # a lone 0xFF byte is never UTF-8
-    raw[-8:] = hashlib.blake2b(raw[:-8], digest_size=8).digest()  # re-hashed: only the name is wrong
-    path.write_bytes(bytes(raw))
+    _bad_tensor_name(path)
     with pytest.raises(CheckpointFormatError, match="not UTF-8"):
         load_checkpoint(path)
 
@@ -512,27 +522,147 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(path)
 
 
+def _dims_offset(raw, name: bytes) -> int:
+    """Offset of the first dim of tensor ``name`` (its name, then ndim, then the dims)."""
+    return raw.index(name) + len(name) + 1
+
+
+def test_checkpoint_with_corrupted_dims_or_name_is_a_checksum_error(tmp_path):
+    # the parse runs before the digest is known; a wrong digest still wins
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, build_model(tiny_config(), seed=0))
+    good = path.read_bytes()
+    dims = bytearray(good)
+    at = _dims_offset(dims, b"emb.tok")
+    dims[at : at + 8] = struct.pack("<Q", 2**60)
+    name = bytearray(good)
+    name[name.index(b"emb.tok")] = 0xFF
+    for raw in (dims, name):
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointChecksumError):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "offset,patch,match",
+    [(0, b"NOPE", "bad magic"), (4, struct.pack("<I", 1), "unsupported checkpoint version 1")],
+)
+def test_checkpoint_magic_and_version_are_refused_before_any_thread_starts(
+    tmp_path, monkeypatch, offset, patch, match
+):
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, build_model(tiny_config(), seed=0))
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + len(patch)] = patch
+    path.write_bytes(bytes(raw))
+
+    def forbidden(self):
+        raise AssertionError("no thread may start before magic and version are checked")
+
+    monkeypatch.setattr(threading.Thread, "start", forbidden)
+    with pytest.raises(CheckpointFormatError, match=match):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_rehashed_dims_beyond_the_file_is_truncated_without_allocating(tmp_path):
+    # 2**65 bytes of float32: allocating the tensor before the bounds check would fail otherwise
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, build_model(tiny_config(), seed=0))
+    raw = bytearray(path.read_bytes())
+    at = _dims_offset(raw, b"emb.tok")
+    raw[at : at + 8] = struct.pack("<Q", 2**60)
+    raw[-8:] = hashlib.blake2b(raw[:-8], digest_size=8).digest()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="truncated"):
+        load_checkpoint(path)
+
+
+class _TornFile:
+    """A binary file that runs out of disk after ``limit`` bytes, mid-write."""
+
+    def __init__(self, f, limit: int):
+        self.f, self.left = f, limit
+
+    def write(self, data) -> int:
+        data = bytes(data)
+        if len(data) > self.left:
+            self.f.write(data[: self.left])
+            self.left = 0
+            raise OSError("disk full")
+        self.left -= len(data)
+        return self.f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def _tear_writes_at(monkeypatch, limit: int) -> None:
+    real_open = Path.open
+
+    def torn_open(self, mode="r", *args, **kwargs):
+        f = real_open(self, mode, *args, **kwargs)
+        return _TornFile(f, limit) if "w" in mode else f
+
+    monkeypatch.setattr(Path, "open", torn_open)
+
+
+def _digest_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "checkpoint-digest"]
+
+
 def test_failed_checkpoint_write_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "m.ckpt"
     model_a = build_model(tiny_config(variant="bipft_b", rank=2), seed=0)
     save_checkpoint(path, model_a)
+    before = path.read_bytes()
+    threads = threading.active_count()
 
-    real_write = Path.write_bytes
-
-    def torn_write(self, data):
-        real_write(self, data[: len(data) // 2])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    _tear_writes_at(monkeypatch, len(before) // 2)  # the new file is as long as the old one
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, build_model(tiny_config(variant="bipft_b", rank=2), seed=1))
     monkeypatch.undo()
 
+    assert threading.active_count() == threads and not _digest_threads()
+    assert path.read_bytes() == before
     loaded = load_model(path)
     for (n1, a), (n2, b) in zip(named_parameters(model_a), named_parameters(loaded)):
         assert n1 == n2
         assert np.array_equal(b.data, a.data.astype(np.float32).astype(np.float64))
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+@pytest.mark.parametrize(
+    "case", ["save", "load", "checksum failure", "format failure", "torn write"]
+)
+def test_checkpoint_round_trips_leave_no_thread_behind(tmp_path, monkeypatch, case):
+    path = tmp_path / "m.bin"
+    model = build_model(tiny_config(), seed=0)
+    save_checkpoint(path, model)
+    size = path.stat().st_size
+    corrupt = {"checksum failure": _flip_payload, "format failure": _bad_tensor_name}
+    if case in corrupt:
+        corrupt[case](path)
+    threads = threading.active_count()
+    if case == "save":
+        save_checkpoint(path, model)
+    elif case == "load":
+        load_checkpoint(path)
+    elif case == "torn write":
+        _tear_writes_at(monkeypatch, size // 2)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model)
+        monkeypatch.undo()
+    else:
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+    assert threading.active_count() == threads
+    assert not _digest_threads()
 
 
 def test_checkpoint_with_an_unsupported_config_is_a_format_error(tmp_path, monkeypatch):
@@ -580,6 +710,12 @@ GOLDEN_CHECKPOINTS = {
     ("twin", 0): "b40283d0259342853125b9a60f9cacf41b06f30378a4a6fea87b7caeb8ec9675",
     ("twin", 3): "ad2b5cbd9b47b797a4f17b0dd1f33587c144d8e6ecb71acb4ddb1aa9cf849dc9",
 }
+# Digests of the v2 file of a tiny bipft_b model, recorded while save_checkpoint
+# still assembled the whole file in memory; streaming the records must not change them.
+GOLDEN_BIPFT_B_FILES = {
+    0: "f8d08398e744a70d8e95129e49928801cb4276c402d134d8e039daeef0d3e04c",
+    3: "0961d1717578c33d21095e2931506b815b9811c5aa91fa2646f2e5198d589d87",
+}
 GOLDEN_BIPFT_B_NON_EST = {
     0: "4c3e069f3a36152a66e627e2eb1764f026be2fe8d7ce2f6e0178a4d49285a9a1",
     3: "e14abf175523c72053fd35f9b463f0e17d7850d0dd7cc8e541e964b26ae8b235",
@@ -592,6 +728,13 @@ def test_build_model_init_matches_golden_checkpoint_bytes(tmp_path, kind, seed):
     path = tmp_path / "m.bin"
     save_checkpoint(path, build_model(cfg, seed=seed))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINTS[kind, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_BIPFT_B_FILES))
+def test_bipft_b_checkpoint_bytes_match_golden(tmp_path, seed):
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, build_model(tiny_config(variant="bipft_b", rank=2), seed=seed))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_BIPFT_B_FILES[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_BIPFT_B_NON_EST))
