@@ -390,12 +390,10 @@ def _pack_shifted(x: Array, q: ElasticQuant | list[ElasticQuant]) -> tuple[Packe
     """Sign bits of ``x - beta`` (the ±1 pattern of ``binarize_activation_pm1``) and the floored level.
 
     ``x`` is a matrix with one binarizer or a stack with one per slice,
-    whose levels come back shaped (slices, 1, 1).
+    whose levels come back shaped (slices, 1, 1); both are read by
+    :func:`~bitformer.quant._slice_params`, as on the simulated routes.
     """
-    if isinstance(q, ElasticQuant):
-        alpha, beta = q.alpha.data[0, 0], q.beta.data[0, 0]
-    else:
-        _, alpha, beta = _slice_params(x, q)
+    _, alpha, beta = _slice_params(x, q)
     return pack_signs(x - beta), np.maximum(alpha, ALPHA_FLOOR)
 
 

@@ -44,12 +44,16 @@ Checkpoints are a single little-endian binary container: magic, version,
 config JSON, named float32 tensors, and a trailing 8-byte BLAKE2b digest
 (``hashlib.blake2b``, ``digest_size=8``) of everything before it; this is
 version 2, and files of any other version are refused by name.  Writes are
-atomic (temporary file, then rename).  One worker thread computes the digest
-while a save writes the records and while a load parses them; a load checks
-magic and version first, and reports a wrong checksum before any layout
-fault.  Loading a model builds it from the file with no init (no random
-draw, no SVD): the loaded arrays become the parameters, and the declaration
-checks the tensor inventory both ways, then the shapes.
+atomic (temporary file, then rename).  One standard-library worker thread
+(``concurrent.futures.ThreadPoolExecutor(max_workers=1)``, joined when its
+``with`` block exits) computes the digest while a save writes the records and
+while a load parses them.  The digest is right only because that one worker
+runs its tasks in the order they were submitted; the golden-bytes tests pin
+the bytes.  A load checks magic and version before the worker exists, and
+reports a wrong checksum before any layout fault.  Loading a model builds it
+from the file with no init (no random draw, no SVD): the loaded arrays become
+the parameters, and the declaration checks the tensor inventory both ways,
+then the shapes.
 """
 
 from __future__ import annotations
@@ -58,9 +62,8 @@ import hashlib
 import json
 import math
 import os
-import queue
 import struct
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -569,61 +572,20 @@ _MAGIC = b"BPFT"
 _VERSION = 2
 
 
-class _DigestWorker:
-    """The checkpoint trailer, BLAKE2b-8 of byte chunks, hashed on one worker thread.
-
-    Chunks are hashed in the order :meth:`update` receives them while the
-    caller goes on writing or parsing; ``hashlib`` releases the GIL for large
-    buffers, so the hashing overlaps that work when a second core is free (on
-    one core it costs what hashing in line costs).  A chunk must not change
-    until :meth:`digest` returns.  The thread lives inside a ``with`` block:
-    leaving the block joins it on every path, and :meth:`digest` joins it and
-    re-raises any exception the worker hit.
-    """
-
-    def __init__(self):
-        self._chunks: queue.SimpleQueue = queue.SimpleQueue()
-        self._hash = hashlib.blake2b(digest_size=8)
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._run, name="checkpoint-digest", daemon=True)
-
-    def _run(self) -> None:
-        try:
-            while (chunk := self._chunks.get()) is not None:
-                self._hash.update(chunk)
-        except BaseException as err:  # handed to the caller by digest()
-            self._error = err
-
-    def __enter__(self) -> "_DigestWorker":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._join()
-
-    def _join(self) -> None:
-        self._chunks.put(None)  # a second stop after digest() is never read
-        self._thread.join()
-
-    def update(self, chunk) -> None:
-        self._chunks.put(chunk)
-
-    def digest(self) -> bytes:
-        self._join()
-        if self._error is not None:
-            raise self._error
-        return self._hash.digest()
-
-
 def save_checkpoint(path, model: Model) -> None:
     """Write config and all named tensors (float32) with a trailing checksum.
 
     Each record (the header, each tensor's name and dims, each tensor's
     float32 buffer) is written straight to a temporary file in the same
-    directory and handed to the digest, which one worker thread computes
-    meanwhile; no image of the whole file is built (a buffer lives until it
-    is hashed), and the bytes are those of an in-line hash.  The overlap needs a second free core; on one
-    core the digest costs what it always did.  The file is synced and
+    directory while one standard-library worker
+    (``ThreadPoolExecutor(max_workers=1)``) hashes it.  A tensor's name, dims
+    and buffer make one task: a task costs about 10 µs of interpreter time,
+    too much to spend on each small record.  No image of the whole file is built (a buffer lives until it is
+    hashed).  The one worker runs the tasks in the order they were
+    submitted, so the bytes are those of an in-line hash (the golden-bytes
+    tests pin this); every task is awaited before the trailer is written, so
+    a hashing error is raised here.  The overlap needs a second free core; on
+    one core the digest costs what it always did.  The file is synced and
     replaces ``path`` in one rename, so a failed write leaves any earlier
     checkpoint at ``path`` intact and no temporary file behind.
     """
@@ -631,20 +593,34 @@ def save_checkpoint(path, model: Model) -> None:
     params = named_parameters(model)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    digest = hashlib.blake2b(digest_size=8)
     try:
-        with tmp.open("wb") as f, _DigestWorker() as digest:
+        with (
+            tmp.open("wb") as f,
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="checkpoint-digest") as worker,
+        ):
+            hashed = []
 
-            def put(record) -> None:
-                digest.update(record)
-                f.write(record)
+            def put(*records) -> None:
+                def update() -> None:
+                    for record in records:
+                        digest.update(record)
 
-            put(_MAGIC + struct.pack("<IQ", _VERSION, len(cfg_bytes)) + cfg_bytes)
-            put(struct.pack("<I", len(params)))
+                hashed.append(worker.submit(update))
+                for record in records:
+                    f.write(record)
+
+            header = _MAGIC + struct.pack("<IQ", _VERSION, len(cfg_bytes)) + cfg_bytes
+            put(header, struct.pack("<I", len(params)))
             for name, p in params:
                 nb = name.encode("utf-8")
                 shape = p.data.shape
-                put(struct.pack("<H", len(nb)) + nb + struct.pack(f"<B{len(shape)}Q", len(shape), *shape))
-                put(memoryview(np.ascontiguousarray(p.data, dtype="<f4")))
+                put(
+                    struct.pack("<H", len(nb)) + nb + struct.pack(f"<B{len(shape)}Q", len(shape), *shape),
+                    memoryview(np.ascontiguousarray(p.data, dtype="<f4")),
+                )
+            for update in hashed:
+                update.result()
             f.write(digest.digest())
             f.flush()
             os.fsync(f.fileno())
@@ -676,12 +652,14 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Array]]:
     """Read and verify a checkpoint; tensors come back as float64 arrays.
 
     The whole file is read once and held while it loads.  Length, magic and
-    version are checked first; then one worker thread hashes the body while
-    this thread parses it and casts the tensors.  The overlap needs a second
-    free core; on one core the digest costs what it always did.  Errors keep
-    their order: a bad magic or version, then a checksum mismatch (any parse
-    failure of a file whose digest is wrong is reported as the mismatch),
-    then a broken layout.
+    version are checked first, before any thread exists; then one
+    standard-library worker (``ThreadPoolExecutor(max_workers=1)``) runs the
+    one task that hashes the body while this thread parses it and casts the
+    tensors.  The overlap needs a second free core; on one core the digest
+    costs what it always did.  Errors keep their order: a bad magic or
+    version, then a hashing error or a checksum mismatch (any parse failure
+    of a file whose digest is wrong is reported as the mismatch), then a
+    broken layout.
     """
     raw = Path(path).read_bytes()
     if len(raw) < len(_MAGIC) + 4 + 8:
@@ -693,13 +671,13 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Array]]:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     body = memoryview(raw)[:-8]
     parse_error: Exception | None = None
-    with _DigestWorker() as digest:
-        digest.update(body)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="checkpoint-digest") as worker:
+        hashed = worker.submit(lambda: hashlib.blake2b(body, digest_size=8).digest())
         try:
             parsed = _parse_body(body)
         except Exception as err:  # raised below once the checksum has been checked
             parse_error = err
-        actual = digest.digest()
+        actual = hashed.result()
     stored = raw[-8:]
     if stored != actual:
         raise CheckpointChecksumError(

@@ -80,50 +80,53 @@ class CheckResult:
 # --------------------------------------------------------------------------
 
 
-def _stack_shape(rng, i: int) -> tuple[int, ...]:
-    """Every other instance is a stack of 2-4 slices, as an attention layer's heads are."""
-    return (int(rng.integers(2, 5)),) if i % 2 else ()
+def _pm1(u: np.ndarray) -> np.ndarray:
+    return np.where(u < 0.5, -1.0, 1.0)
+
+
+def _accumulator_oracle(rng, instances: int, max_dim: int, left, accumulate) -> tuple[int, str]:
+    """Largest ``|accumulate(x, w) - x @ w^T|`` over random shapes and operands, and its detail line.
+
+    Each instance draws m, k, n, a stack of 2-4 slices every other time (as an
+    attention layer's heads are), ``x = left(u)`` of uniform ``u``, then ±1 ``w``.
+    """
+    worst = 0
+    for i in range(instances):
+        m, k, n = (int(rng.integers(1, max_dim + 1)) for _ in range(3))
+        lead = (int(rng.integers(2, 5)),) if i % 2 else ()
+        x = left(rng.random(lead + (m, k)))
+        w = _pm1(rng.random(lead + (n, k)))
+        want = (x @ w.swapaxes(-1, -2)).astype(np.int64)
+        worst = max(worst, int(np.abs(accumulate(x, w) - want).max()))
+    return worst, f"{instances} instances ({instances // 2} stacked), dims <= {max_dim}, max |diff| = {worst}"
 
 
 def check_kernel_oracle(seed: int = 0, instances: int = 500, max_dim: int = 130) -> CheckResult:
     """Packed ±1 GEMM accumulators exactly equal the float product, for matrices and stacks."""
     rng = substream(seed, "verify-kernel")
     start = time.perf_counter()
-    worst = 0
-    for i in range(instances):
-        m, k, n = (int(rng.integers(1, max_dim + 1)) for _ in range(3))
-        lead = _stack_shape(rng, i)
-        a = np.where(rng.random(lead + (m, k)) < 0.5, -1.0, 1.0)
-        b = np.where(rng.random(lead + (n, k)) < 0.5, -1.0, 1.0)
-        got = binary_accumulate(pack_signs(a), pack_signs(b))
-        want = (a @ b.swapaxes(-1, -2)).astype(np.int64)
-        worst = max(worst, int(np.abs(got - want).max()))
+    worst, detail = _accumulator_oracle(
+        rng, instances, max_dim, _pm1, lambda a, b: binary_accumulate(pack_signs(a), pack_signs(b))
+    )
     elapsed = time.perf_counter() - start
     return CheckResult(
         name="kernel-oracle",
         passed=worst == 0 and elapsed < 10.0,
-        detail=f"{instances} instances ({instances // 2} stacked), dims <= {max_dim}, "
-        f"max |diff| = {worst}, {elapsed:.2f}s",
+        detail=f"{detail}, {elapsed:.2f}s",
     )
 
 
 def check_ternary_trick(seed: int = 0, instances: int = 500, max_dim: int = 96) -> CheckResult:
     """Selection-times-sign products computed by the shift identity are exact, for matrices and stacks."""
     rng = substream(seed, "verify-ternary")
-    worst = 0
-    for i in range(instances):
-        m, k, n = (int(rng.integers(1, max_dim + 1)) for _ in range(3))
-        lead = _stack_shape(rng, i)
-        sel = (rng.random(lead + (m, k)) < 0.5).astype(np.float64)
-        v = np.where(rng.random(lead + (n, k)) < 0.5, -1.0, 1.0)
-        got = ternary_accumulate(pack_signs(2.0 * sel - 1.0), pack_signs(v))
-        want = (sel @ v.swapaxes(-1, -2)).astype(np.int64)
-        worst = max(worst, int(np.abs(got - want).max()))
-    return CheckResult(
-        name="ternary-trick",
-        passed=worst == 0,
-        detail=f"{instances} instances ({instances // 2} stacked), dims <= {max_dim}, max |diff| = {worst}",
+    worst, detail = _accumulator_oracle(
+        rng,
+        instances,
+        max_dim,
+        lambda u: (u < 0.5).astype(np.float64),
+        lambda sel, v: ternary_accumulate(pack_signs(2.0 * sel - 1.0), pack_signs(v)),
     )
+    return CheckResult(name="ternary-trick", passed=worst == 0, detail=detail)
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import copy
 import functools
 
 import numpy as np
+import pytest
 
 from bitformer.bitkernel import equivalent_flops
 from bitformer.data import (
@@ -188,6 +189,7 @@ def _smoke_run(seed: int):
     return model, metrics
 
 
+@pytest.mark.slow
 def test_criterion_09_training_smoke_and_determinism(record):
     import time
 
@@ -276,6 +278,7 @@ def _echo_finetune(model, train_set, eval_set, seed: int) -> float:
     ).accuracy
 
 
+@pytest.mark.slow
 def test_criterion_10a_pretraining_beats_scratch(record):
     corpus = _echo_corpus()
     wins, pairs = 0, []
@@ -297,6 +300,7 @@ def test_criterion_10a_pretraining_beats_scratch(record):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_10b_estimators_lower_mlm(record):
     corpus = _echo_corpus()
     wins, pairs = 0, []

@@ -613,7 +613,7 @@ def _tear_writes_at(monkeypatch, limit: int) -> None:
 
 
 def _digest_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "checkpoint-digest"]
+    return [t for t in threading.enumerate() if t.name.startswith("checkpoint-digest")]
 
 
 def test_failed_checkpoint_write_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
@@ -635,6 +635,52 @@ def test_failed_checkpoint_write_leaves_the_previous_checkpoint(tmp_path, monkey
         assert n1 == n2
         assert np.array_equal(b.data, a.data.astype(np.float32).astype(np.float64))
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+class _DigestFailure(RuntimeError):
+    pass
+
+
+def _fail_every_digest(monkeypatch) -> list[str]:
+    """Make every BLAKE2b update raise; returns the names of the threads it raised on."""
+    raised_on: list[str] = []
+
+    class FailingBlake2b:
+        def __init__(self, data=b"", digest_size=64):
+            self.digest_size = digest_size
+            if data:
+                self.update(data)
+
+        def update(self, data) -> None:
+            raised_on.append(threading.current_thread().name)
+            raise _DigestFailure("hashing failed")
+
+        def digest(self) -> bytes:  # what a save that never awaited the updates would write
+            return bytes(self.digest_size)
+
+    monkeypatch.setattr(hashlib, "blake2b", FailingBlake2b)
+    return raised_on
+
+
+def test_a_digest_failure_reaches_the_caller_of_save_and_load(tmp_path, monkeypatch):
+    # the one way a futures-based digest can fail silently is a future never awaited
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_model(tiny_config(), seed=0))
+    before = path.read_bytes()
+    other = build_model(tiny_config(), seed=1)
+    threads = threading.active_count()
+    raised_on = _fail_every_digest(monkeypatch)
+
+    with pytest.raises(_DigestFailure):
+        save_checkpoint(path, other)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    assert threading.active_count() == threads and not _digest_threads()
+
+    with pytest.raises(_DigestFailure):
+        load_checkpoint(path)
+    assert threading.active_count() == threads and not _digest_threads()
+    assert raised_on and all(name.startswith("checkpoint-digest") for name in raised_on)
 
 
 @pytest.mark.parametrize(
