@@ -63,7 +63,6 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -83,7 +82,6 @@ from .numerics import (
     DenseMatrix,
     Tape,
     add,
-    add_bias,
     gather_rows,
     gelu,
     layer_norm,
@@ -460,7 +458,7 @@ def head(tape: Tape | None, h: DenseMatrix, w: DenseMatrix, b: DenseMatrix) -> D
     few-row products differently when it reads the weight in place, so the
     copy keeps binary training bitwise what it was.
     """
-    return add_bias(tape, matmul(tape, h, transpose(tape, w)), b)
+    return matmul(tape, h, transpose(tape, w), b)
 
 
 def _heads(tape: Tape | None, model: Model, x: DenseMatrix) -> tuple[DenseMatrix, DenseMatrix]:
@@ -589,6 +587,8 @@ def save_checkpoint(path, model: Model) -> None:
     replaces ``path`` in one rename, so a failed write leaves any earlier
     checkpoint at ``path`` intact and no temporary file behind.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, not at import: it loads logging
+
     cfg_bytes = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
     params = named_parameters(model)
     path = Path(path)
@@ -669,6 +669,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Array]]:
     (version,) = struct.unpack_from("<I", raw, len(_MAGIC))
     if version != _VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+    from concurrent.futures import ThreadPoolExecutor  # as in save_checkpoint
+
     body = memoryview(raw)[:-8]
     parse_error: Exception | None = None
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="checkpoint-digest") as worker:

@@ -5,6 +5,11 @@ them (one slice per attention head).  Differentiable operations are free
 functions that compute the forward with numpy and append one backward
 closure to a :class:`Tape`; ``Tape.backward`` replays the closures in exact
 reverse order of recording, accumulating into per-matrix ``.grad`` buffers.
+A closure keeps only what its backward reads (:class:`GradCell`), and
+recomputes a cheap temporary from the op's input with the forward's own
+expressions rather than store it (recompute-instead-of-store at the
+granularity of one op), so its gradients are bitwise a stored copy's.  A
+tape replays once, dropping each closure as it runs.
 The tape is deliberately explicit (no operator overloading, no graph capture)
 so that quantizer ops can register hand-written surrogate gradients as
 ordinary closures next to everything else.  ``matmul``, ``transpose`` and
@@ -40,29 +45,64 @@ TAPE_OPS = frozenset(
 )
 
 
+class GradCell:
+    """One node's gradient buffer, apart from its value; zeros on first use.
+
+    Backward closures hold cells, never nodes, so a value that no backward
+    reads (a product the next op copies, say) is freed once the forward's
+    caller drops it, not when the backward reaches it.
+    """
+
+    __slots__ = ("value", "shape")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.value: Array | None = None
+        self.shape = shape
+
+    def ensure(self) -> Array:
+        if self.value is None:
+            self.value = np.zeros(self.shape)
+        return self.value
+
+    def add(self, g: Array) -> None:
+        """``value += g``; a 2-D node's cell takes a stacked ``g`` one slice at a time.
+
+        The slices are added last first, the order in which one tape op per
+        slice would have run their backward closures.
+        """
+        value = self.ensure()
+        if g.ndim > value.ndim:
+            for part in g[::-1]:
+                value += part
+        else:
+            value += g
+
+
 class DenseMatrix:
     """A float64 matrix (2-D) or stack of matrices (3-D) with a lazily allocated gradient buffer.
 
     ``rows`` and ``cols`` are the last two axes.  Gradients accumulate
     additively across backward passes and are cleared only by an explicit
-    :meth:`zero_grad`.
+    :meth:`zero_grad`.  ``grad`` is the value of the node's
+    :class:`GradCell`, ``cell``, which the tape's closures hold.
 
     ``cache`` holds what :func:`bitformer.quant.weight_bits` derives from
     ``data`` (a block weight's sign bits and row scales).  Caching makes
     ``data`` read-only, so an in-place write to it raises numpy's
     "assignment destination is read-only" error; :meth:`AdamW.step` makes
     its parameters writable again before it updates them.  Rebinding
-    ``data`` to another array is always allowed; the next use recomputes.
+    ``data`` to another array of the same shape is always allowed; the next
+    use recomputes.
     """
 
-    __slots__ = ("data", "grad", "name", "cache")
+    __slots__ = ("data", "cell", "name", "cache")
 
     def __init__(self, data, name: str = ""):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim not in (2, 3):
             raise ValueError(f"DenseMatrix must be 2-D or 3-D, got shape {arr.shape}")
         self.data: Array = np.ascontiguousarray(arr)
-        self.grad: Array | None = None
+        self.cell = GradCell(arr.shape)
         self.name = name
         self.cache = None
 
@@ -74,13 +114,19 @@ class DenseMatrix:
     def cols(self) -> int:
         return self.data.shape[-1]
 
+    @property
+    def grad(self) -> Array | None:
+        return self.cell.value
+
+    @grad.setter
+    def grad(self, value: Array | None) -> None:
+        self.cell.value = value
+
     def ensure_grad(self) -> Array:
-        if self.grad is None:
-            self.grad = np.zeros(self.data.shape)
-        return self.grad
+        return self.cell.ensure()
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self.cell.value = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.name!r}" if self.name else ""
@@ -88,12 +134,21 @@ class DenseMatrix:
 
 
 class Tape:
-    """Record of backward closures, replayed last-recorded-first."""
+    """Record of backward closures, replayed once, last-recorded-first.
 
-    __slots__ = ("ops",)
+    A closure holds the arrays its backward reads and the cells
+    (:class:`GradCell`) it reads and adds gradients through.  :meth:`replay`
+    pops each closure before running it, so an op's saved arrays and output
+    gradient are freed once the backward has passed it.  A replayed tape is
+    empty and raises ``ValueError`` on a second replay or backward, rather
+    than silently add no gradient.
+    """
+
+    __slots__ = ("ops", "replayed")
 
     def __init__(self):
         self.ops: list[tuple[str, Callable[[], None]]] = []
+        self.replayed = False
 
     def record(self, name: str, backward: Callable[[], None]) -> None:
         if name not in TAPE_OPS:
@@ -104,13 +159,21 @@ class Tape:
         """Seed d(loss)/d(loss) = 1 and replay every closure in reverse."""
         if loss.data.shape != (1, 1):
             raise ValueError(f"backward needs a 1x1 loss, got {loss.data.shape}")
+        self._refuse_replayed()
         loss.ensure_grad()[0, 0] += 1.0
         self.replay()
 
     def replay(self) -> None:
-        """Run every recorded closure, last-recorded first."""
-        for _, fn in reversed(self.ops):
-            fn()
+        """Run every recorded closure, last-recorded first, dropping each as it runs."""
+        self._refuse_replayed()
+        self.replayed = True
+        ops = self.ops
+        while ops:
+            ops.pop()[1]()
+
+    def _refuse_replayed(self) -> None:
+        if self.replayed:
+            raise ValueError("this tape was already replayed; record a new tape for another backward")
 
 
 # ---------------------------------------------------------------------------
@@ -118,40 +181,36 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(x: DenseMatrix, g: Array) -> None:
-    """``x.grad += g``; a 2-D ``x`` broadcast over a stacked ``g`` takes it one slice at a time.
-
-    The slices are added last first, the order in which one tape op per
-    slice would have run their backward closures.
-    """
-    grad = x.ensure_grad()
-    if g.ndim == grad.ndim:
-        grad += g
-    else:
-        for part in g[::-1]:
-            grad += part
-
-
-def matmul(tape: Tape | None, a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+def matmul(
+    tape: Tape | None, a: DenseMatrix, b: DenseMatrix, bias: DenseMatrix | None = None
+) -> DenseMatrix:
     """a (m, k) @ b (k, n) -> (m, n), slice by slice over a stack; dA = dC @ B^T, dB = A^T @ dC.
 
     Either operand may be a stack, and a 2-D operand is broadcast over the
-    other's slices.
+    other's slices.  A ``bias`` (1, n) is added into the product's own
+    buffer, which no backward reads: the result and both tape ops are those
+    of :func:`add_bias` on the product, without a second (m, n) array.
     """
     if a.cols != b.rows:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
+    if bias is not None:
+        _check_bias(b.cols, bias)
     out = DenseMatrix(a.data @ b.data)
     if tape is not None:
+        x, y, da, db, dout = a.data, b.data, a.cell, b.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            _accumulate(a, g @ b.data.swapaxes(-1, -2))
-            _accumulate(b, a.data.swapaxes(-1, -2) @ g)
+            da.add(g @ y.swapaxes(-1, -2))
+            db.add(x.swapaxes(-1, -2) @ g)
 
         tape.record("matmul", bwd)
-    return out
+    if bias is None:
+        return out
+    out.data += bias.data
+    return _biased(tape, out, bias, out.data)
 
 
 def affine(tape: Tape | None, a: DenseMatrix, w: DenseMatrix, bias: DenseMatrix) -> DenseMatrix:
@@ -167,14 +226,15 @@ def affine(tape: Tape | None, a: DenseMatrix, w: DenseMatrix, bias: DenseMatrix)
     y += bias.data
     out = DenseMatrix(y)
     if tape is not None:
+        x, wx, da, dw, dbias, dout = a.data, w.data, a.cell, w.cell, bias.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            a.ensure_grad()[...] += g @ w.data
-            w.ensure_grad()[...] += g.T @ a.data
-            bias.ensure_grad()[...] += g.sum(axis=0, keepdims=True)
+            da.add(g @ wx)
+            dw.add(g.T @ x)
+            dbias.add(g.sum(axis=0, keepdims=True))
 
         tape.record("affine", bwd)
     return out
@@ -184,12 +244,13 @@ def transpose(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     """Swap the last two axes (each slice of a stack is transposed)."""
     out = DenseMatrix(a.data.swapaxes(-1, -2))
     if tape is not None:
+        da, dout = a.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            a.ensure_grad()[...] += g.swapaxes(-1, -2)
+            da.add(g.swapaxes(-1, -2))
 
         tape.record("transpose", bwd)
     return out
@@ -200,31 +261,42 @@ def add(tape: Tape | None, a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
     out = DenseMatrix(a.data + b.data)
     if tape is not None:
+        da, db, dout = a.cell, b.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            a.ensure_grad()[...] += g
-            b.ensure_grad()[...] += g
+            da.add(g)
+            db.add(g)
 
         tape.record("add", bwd)
     return out
 
 
+def _check_bias(cols: int, bias: DenseMatrix) -> None:
+    if bias.rows != 1 or bias.cols != cols:
+        raise ValueError(f"bias must be 1x{cols}, got {bias.data.shape}")
+
+
 def add_bias(tape: Tape | None, a: DenseMatrix, bias: DenseMatrix) -> DenseMatrix:
     """a (m, n) + bias (1, n) broadcast over rows."""
-    if bias.rows != 1 or bias.cols != a.cols:
-        raise ValueError(f"bias must be 1x{a.cols}, got {bias.data.shape}")
-    out = DenseMatrix(a.data + bias.data)
+    _check_bias(a.cols, bias)
+    return _biased(tape, a, bias, a.data + bias.data)
+
+
+def _biased(tape: Tape | None, a: DenseMatrix, bias: DenseMatrix, value: Array) -> DenseMatrix:
+    """The node of ``value`` = a + bias, with the ``add_bias`` backward."""
+    out = DenseMatrix(value)
     if tape is not None:
+        da, dbias, dout = a.cell, bias.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            a.ensure_grad()[...] += g
-            bias.ensure_grad()[...] += g.sum(axis=0, keepdims=True)
+            da.add(g)
+            dbias.add(g.sum(axis=0, keepdims=True))
 
         tape.record("add_bias", bwd)
     return out
@@ -233,12 +305,13 @@ def add_bias(tape: Tape | None, a: DenseMatrix, bias: DenseMatrix) -> DenseMatri
 def scale(tape: Tape | None, a: DenseMatrix, factor: float) -> DenseMatrix:
     out = DenseMatrix(a.data * factor)
     if tape is not None:
+        da, dout = a.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            a.ensure_grad()[...] += g * factor
+            da.add(g * factor)
 
         tape.record("scale", bwd)
     return out
@@ -248,12 +321,13 @@ def add_constant(tape: Tape | None, a: DenseMatrix, shift: Array) -> DenseMatrix
     """a + shift where shift is a plain array (no gradient into shift)."""
     out = DenseMatrix(a.data + shift)
     if tape is not None:
+        da, dout = a.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            a.ensure_grad()[...] += g
+            da.add(g)
 
         tape.record("add_constant", bwd)
     return out
@@ -268,12 +342,13 @@ def gather_rows(tape: Tape | None, table: DenseMatrix, indices: Array) -> DenseM
         raise IndexError(f"row index out of range for table with {table.rows} rows")
     out = DenseMatrix(table.data[idx])
     if tape is not None:
+        dtable, dout = table.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            np.add.at(table.ensure_grad(), idx, g)
+            np.add.at(dtable.ensure(), idx, g)
 
         tape.record("gather_rows", bwd)
     return out
@@ -284,12 +359,13 @@ def slice_cols(tape: Tape | None, a: DenseMatrix, start: int, stop: int) -> Dens
         raise ValueError(f"bad column slice [{start}:{stop}] for {a.cols} columns")
     out = DenseMatrix(a.data[:, start:stop])
     if tape is not None:
+        da, dout = a.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            a.ensure_grad()[:, start:stop] += g
+            da.ensure()[:, start:stop] += g
 
         tape.record("slice_cols", bwd)
     return out
@@ -302,12 +378,13 @@ def split_heads(tape: Tape | None, a: DenseMatrix, heads: int) -> DenseMatrix:
     m, width = a.rows, a.cols // heads
     out = DenseMatrix(a.data.reshape(m, heads, width).transpose(1, 0, 2))
     if tape is not None:
+        da, dout = a.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            a.ensure_grad()[...] += g.transpose(1, 0, 2).reshape(m, heads * width)
+            da.add(g.transpose(1, 0, 2).reshape(m, heads * width))
 
         tape.record("split_heads", bwd)
     return out
@@ -320,12 +397,13 @@ def merge_heads(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     heads, m, width = a.data.shape
     out = DenseMatrix(a.data.transpose(1, 0, 2).reshape(m, heads * width))
     if tape is not None:
+        da, dout = a.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            a.ensure_grad()[...] += g.reshape(m, heads, width).transpose(1, 0, 2)
+            da.add(g.reshape(m, heads, width).transpose(1, 0, 2))
 
         tape.record("merge_heads", bwd)
     return out
@@ -341,15 +419,16 @@ def add_slices(tape: Tape | None, a: DenseMatrix, parts: Sequence[DenseMatrix | 
             data[s] += p.data
     out = DenseMatrix(data)
     if tape is not None:
+        da, dout = a.cell, out.cell
+        dparts = [(s, p.cell) for s, p in enumerate(parts) if p is not None]
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            a.ensure_grad()[...] += g
-            for s, p in enumerate(parts):
-                if p is not None:
-                    p.ensure_grad()[...] += g[s]
+            da.add(g)
+            for s, dp in dparts:
+                dp.add(g[s])
 
         tape.record("add_slices", bwd)
     return out
@@ -366,13 +445,14 @@ def softmax_rows(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     p = e / e.sum(axis=-1, keepdims=True)
     out = DenseMatrix(p)
     if tape is not None:
+        da, dout = a.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
             inner = (g * p).sum(axis=-1, keepdims=True)
-            a.ensure_grad()[...] += p * (g - inner)
+            da.add(p * (g - inner))
 
         tape.record("softmax_rows", bwd)
     return out
@@ -389,28 +469,33 @@ def layer_norm(
     if gamma.data.shape != (1, a.cols) or beta.data.shape != (1, a.cols):
         raise ValueError("layer_norm affine params must be 1 x cols")
     mu = a.data.mean(axis=1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    y = a.data - mu
+    var = (y * y).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = DenseMatrix(xhat * gamma.data + beta.data)
+    y *= inv  # x_hat
+    y *= gamma.data
+    y += beta.data
+    out = DenseMatrix(y)
     if tape is not None:
-        n = a.cols
+        n, x, w = a.cols, a.data, gamma.data
+        dx, dgamma, dbeta, dout = a.cell, gamma.cell, beta.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            beta.ensure_grad()[...] += g.sum(axis=0, keepdims=True)
-            gamma.ensure_grad()[...] += (g * xhat).sum(axis=0, keepdims=True)
-            dxhat = g * gamma.data
+            xhat = x - mu  # recomputed as the forward computed it, from the input it keeps
+            xhat *= inv
+            dbeta.add(g.sum(axis=0, keepdims=True))
+            dgamma.add((g * xhat).sum(axis=0, keepdims=True))
+            dxhat = g * w
             # standard layer-norm input gradient for per-row statistics
-            da = inv * (
+            d_in = inv * (
                 dxhat
                 - dxhat.mean(axis=1, keepdims=True)
                 - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / n
             )
-            a.ensure_grad()[...] += da
+            dx.add(d_in)
 
         tape.record("layer_norm", bwd)
     return out
@@ -424,13 +509,14 @@ def gelu(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
 
     The cube is the product ``x * x * x``: numpy runs ``x**3`` through libm
     ``pow`` per element, tens of times slower than two multiplies.  The
-    square is bitwise what numpy computes for ``x**2``, so the backward
-    reuses it unchanged.  The tanh argument is built in place in one buffer,
-    in the formula's order, which the backward keeps as ``tanh``.
+    square is bitwise what numpy computes for ``x**2``; the backward
+    recomputes it from the input rather than keep it.  The tanh argument is
+    built in place in one buffer, in the formula's order, which the backward
+    keeps as ``tanh``, the one temporary it stores.
     """
     x = a.data
-    x2 = x * x
-    t = x2 * x
+    t = x * x
+    t *= x
     t *= 0.044715
     t += x
     t *= _GELU_C
@@ -439,14 +525,15 @@ def gelu(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     y *= 1.0 + t
     out = DenseMatrix(y)
     if tape is not None:
+        da, dout = a.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
+            dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
             dt = (1.0 - t * t) * dinner
-            a.ensure_grad()[...] += g * (0.5 * (1.0 + t) + 0.5 * x * dt)
+            da.add(g * (0.5 * (1.0 + t) + 0.5 * x * dt))
 
         tape.record("gelu", bwd)
     return out
@@ -481,9 +568,10 @@ def cross_entropy(
         value = float(-logp[rows, t[rows]].sum() / count)
     out = DenseMatrix([[value]])
     if tape is not None:
+        dlogits_cell, dout = logits.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None or count == 0:
                 return
             p = np.exp(logp)
@@ -491,7 +579,7 @@ def cross_entropy(
             rows = np.nonzero(keep)[0]
             dlogits[rows, t[rows]] -= 1.0
             dlogits[~keep] = 0.0
-            logits.ensure_grad()[...] += dlogits * (g[0, 0] / count)
+            dlogits_cell.add(dlogits * (g[0, 0] / count))
 
         tape.record("cross_entropy", bwd)
     return out
@@ -527,23 +615,46 @@ class AdamW:
             p.zero_grad()
 
     def step(self, lr: float | None = None) -> None:
-        """One update; a missing gradient is treated as all-zero (decay still applies)."""
+        """One update; a missing gradient is treated as all-zero (decay still applies).
+
+        Each parameter is updated in place through two scratch buffers the
+        size of the largest parameter, with the operations, in order, of
+        ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``,
+        ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` and ``p -= lr wd p``:
+        bitwise those expressions, without a parameter-sized temporary per
+        operation.  Gradients are left for the caller to drop.
+        """
         if lr is None:
             lr = self.lr
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
+        size = max((p.data.size for p in self.params), default=0)
+        scratch = np.empty(size), np.empty(size)
         for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad if p.grad is not None else 0.0
+            s, u = (buf[: p.data.size].reshape(p.data.shape) for buf in scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if p.grad is None:
+                m += 0.0  # adds (1 - b1) * 0, as the expressions do: a -0.0 becomes +0.0
+                v += 0.0
+            else:
+                np.multiply(p.grad, 1.0 - self.beta1, out=s)
+                m += s
+                np.square(p.grad, out=s)
+                s *= 1.0 - self.beta2
+                v += s
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, bc1, out=u)
+            u /= s
+            u *= lr
             p.data.flags.writeable = True  # an evaluation forward may have frozen it
-            p.data -= lr * update
+            p.data -= u
             if self.weight_decay:
-                p.data -= lr * self.weight_decay * p.data
+                np.multiply(p.data, lr * self.weight_decay, out=u)
+                p.data -= u
 
 
 def linear_warmup_schedule(step: int, total_steps: int, warmup_frac: float, peak_lr: float) -> float:

@@ -106,14 +106,13 @@ def kl_to_teacher(
     out = DenseMatrix([[value]])
     if tape is not None:
         p_s = np.exp(log_ps)
+        dstudent, dout = student_logits.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            student_logits.ensure_grad()[...] += (p_s - p_t) * (
-                g[0, 0] / (temperature * rows)
-            )
+            dstudent.add((p_s - p_t) * (g[0, 0] / (temperature * rows)))
 
         tape.record("kl_to_teacher", bwd)
     return out
@@ -130,12 +129,13 @@ def hidden_mse(tape: Tape | None, student: DenseMatrix, target: Array) -> DenseM
     count = diff.size
     out = DenseMatrix([[float((diff * diff).sum() / count)]])
     if tape is not None:
+        dstudent, dout = student.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            student.ensure_grad()[...] += diff * (2.0 * g[0, 0] / count)
+            dstudent.add(diff * (2.0 * g[0, 0] / count))
 
         tape.record("hidden_mse", bwd)
     return out
@@ -230,6 +230,12 @@ def train_step(
     ``freeze_body`` is for an untaped body: it gets no weight nodes, so its
     forwards read each weight's cached bits, and its binarizer levels are
     not projected.
+
+    Memory: each item's tape frees its ops' saved arrays as its backward
+    passes them (:meth:`~bitformer.numerics.Tape.replay`), so a step holds
+    one item's forward at a time, plus the binarized weights and the
+    gradients.  Those are dropped before the update, and the update drops
+    every parameter's gradient: a step starts and ends with none.
     """
     opt.zero_grad()
     weight_tape = Tape()
@@ -243,6 +249,7 @@ def train_step(
     weight_tape.replay()
     weights = tape = weight_tape = None  # free them before the update's temporaries
     opt.step(lr=lr)
+    opt.zero_grad()
     if not freeze_body:
         project_binarizer_levels(model)
 

@@ -139,7 +139,8 @@ def binarize_weight(
         value[rows] = levels
     out = DenseMatrix(value.T if transposed else value)
     if tape is not None:
-        tape.record("binarize_weight", lambda: _weight_backward(w, out.grad, transposed))
+        dout = out.cell
+        tape.record("binarize_weight", lambda: _weight_backward(w, dout.value, transposed))
     return out
 
 
@@ -258,29 +259,32 @@ def binarize_activation_pm1(
     ``alpha * hardtanh(a - beta)``: input and threshold take the hardtanh
     window on (a - beta); the level takes the clipped shifted values, which
     coincide with sign(a - beta) wherever the window has saturated.  The
-    level gradient is gated off while the floor is active.
+    level gradient is gated off while the floor is active.  A taped call
+    keeps no copy of ``a - beta``: the backward recomputes it from
+    ``a.data`` and the forward's threshold, so ``a`` must not change in
+    place before it runs (the contract of :func:`binarize_weight` too).
     """
     _check_mode(mode)
     qs, alpha_raw, beta = _slice_params(a.data, q)
     alpha = np.maximum(alpha_raw, ALPHA_FLOOR)
     shifted = a.data - beta
-    if mode == "hard":
-        out = DenseMatrix(alpha * _sign_pm1(shifted))
-    else:
-        out = DenseMatrix(alpha * np.clip(shifted, -1.0, 1.0))
+    levels = _sign_pm1(shifted) if mode == "hard" else np.clip(shifted, -1.0, 1.0, out=shifted)
+    levels *= alpha
+    out = DenseMatrix(levels)
     if tape is not None:
-        window = np.abs(shifted) <= 1.0
         alpha_free = (alpha_raw > ALPHA_FLOOR).reshape(-1)
+        x, da, dout = a.data, a.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
-            g_window = g * window
+            shifted = x - beta
+            g_window = g * (np.abs(shifted) <= 1.0)
             d_beta = -alpha.reshape(-1) * _slice_sums(g_window, len(qs))
             g_window *= alpha
-            a.ensure_grad()[...] += g_window
-            g_clipped = np.clip(shifted, -1.0, 1.0)
+            da.add(g_window)
+            g_clipped = np.clip(shifted, -1.0, 1.0, out=shifted)
             g_clipped *= g
             _add_param_grads(qs, alpha_free * _slice_sums(g_clipped, len(qs)), d_beta)
 
@@ -323,13 +327,14 @@ def binarize_attention_01(
     if tape is not None:
         inside = (u > 0.0) & (u < 1.0)
         sat_hi = u >= 1.0
+        datt, dout = att.cell, out.cell
 
         def bwd():
-            g = out.grad
+            g = dout.value
             if g is None:
                 return
             g_inside = g * inside
-            att.ensure_grad()[...] += g_inside
+            datt.add(g_inside)
             _add_param_grads(qs, _slice_sums(g * sat_hi, len(qs)), -_slice_sums(g_inside, len(qs)))
 
         tape.record("binarize_attention_01", bwd)

@@ -94,6 +94,45 @@ def gelu_whole_expressions(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np
     return out, g * (0.5 * (1.0 + t) + 0.5 * x * dt)
 
 
+def layer_norm_stored(x, gamma, beta, g, eps=1e-5):
+    """Layer norm forward and gradients with the standardized rows kept, as whole-array expressions.
+
+    This is ``numerics.layer_norm`` before its backward recomputed the
+    standardized rows from the input; the recomputing form must give the
+    same bits.  Returns (output, d input, d gamma, d beta).
+    """
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gamma + beta
+    dxhat = g * gamma
+    n = x.shape[1]
+    dx = inv * (dxhat - dxhat.mean(axis=1, keepdims=True) - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / n)
+    return out, dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+
+def adamw_expression_step(data, m, v, grad, t, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+    """One AdamW update of ``data``, ``m`` and ``v`` in place, as whole-array expressions.
+
+    This is ``numerics.AdamW.step`` before it ran through scratch buffers;
+    the in-place form must give the same bits.  ``grad`` None is all-zero.
+    """
+    beta1, beta2 = betas
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    g = grad if grad is not None else 0.0
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * np.square(g)
+    update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+    data -= lr * update
+    if weight_decay:
+        data -= lr * weight_decay * data
+
+
 def central_difference(
     f: Callable[[Sequence[np.ndarray]], float],
     arrays: Sequence[np.ndarray],

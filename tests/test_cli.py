@@ -395,3 +395,16 @@ def test_thread_cap_env_reaches_openblas():
     if out == "none":
         pytest.skip("numpy bundles no OpenBLAS whose thread count can be read")
     assert out == "1"
+
+
+def test_importing_the_cli_loads_no_thread_pool_or_logging():
+    # the checkpoint digest worker's executor is imported where it runs, not by
+    # every command: concurrent.futures brings logging, about 5 ms of import
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env["PYTHONPATH"]]) if env.get("PYTHONPATH") else src
+    code = "import sys, bitformer.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    ).stdout.strip()
+    assert out == "[]"

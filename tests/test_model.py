@@ -16,6 +16,8 @@ import copy
 import hashlib
 import struct
 import threading
+import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -136,6 +138,60 @@ def test_a_taped_smoke_forward_records_each_attention_step_once_for_all_heads():
     tape = Tape()
     forward(model, tokens, np.zeros(24, dtype=np.int64), tape=tape)
     assert len(tape.ops) <= 100
+
+
+# criterion 09's smoke model over the toy corpus's 54-token vocabulary
+SMOKE = dict(layers=2, hidden=128, heads=4, ffn=256, max_seq=64, vocab=54)
+
+
+def _smoke_item(model, weights, n=24):
+    """A tape, the forward's result and the two-task loss for one taped smoke sequence."""
+    rng = np.random.default_rng(3)
+    tokens = rng.integers(5, SMOKE["vocab"], size=n)
+    labels = np.full(n, -100)
+    labels[::5] = tokens[::5]
+    tape = Tape()
+    res = forward(model, tokens, np.zeros(n, dtype=np.int64), tape=tape, weights=weights)
+    loss = add(tape, cross_entropy(tape, res.mlm_logits, labels), cross_entropy(tape, res.nsp_logits, np.array([1])))
+    return tape, res, loss
+
+
+def test_a_taped_smoke_sequence_holds_under_0_07_mb_per_token_row():
+    # tracemalloc of one 24-token sequence, as a training step runs its
+    # second and later sequences: the step's binarized weights exist, and so
+    # does every gradient buffer its items add into
+    n = 24
+    model = build_model(ModelConfig(**SMOKE).validate(), seed=0)
+    weights = binarize_linears(model, Tape())
+    tape, _, loss = _smoke_item(model, weights, n)
+    tape.backward(loss)
+    del tape, loss
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape, _, loss = _smoke_item(model, weights, n)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held / n <= 0.07e6, f"forward holds {held / n / 1e6:.4f} MB per row"
+    assert peak / n <= 0.08e6, f"forward plus backward peaks at {peak / n / 1e6:.4f} MB per row"
+
+
+def test_replay_frees_every_intermediate_before_it_returns():
+    model = build_model(tiny_config(variant="bipft_b", rank=2), seed=0)
+    tape, dead_at_end = Tape(), []
+    # recorded first, so replayed last: by then every op's arrays should be gone
+    tape.record("add", lambda: dead_at_end.extend(ref() is None for ref in refs))
+    res = forward(model, np.array([2, 7, 8, 5, 9, 3]), tape=tape)
+    refs = [weakref.ref(h.data) for h in res.hidden_states] + [weakref.ref(res.mlm_logits.data)]
+    loss = cross_entropy(tape, res.mlm_logits, np.array([-100, 7, -100, 5, -100, -100]))
+    del res
+    tape.backward(loss)
+    assert dead_at_end == [True] * len(refs) and tape.ops == []
+    assert all(p.grad is not None for name, p in named_parameters(model) if not name.startswith("head.nsp"))
 
 
 def test_sequence_longer_than_max_seq_is_rejected():

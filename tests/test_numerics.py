@@ -40,9 +40,11 @@ from bitformer.numerics import (
 )
 
 from oracles import (
+    adamw_expression_step,
     central_difference,
     gelu_scalar,
     gelu_whole_expressions,
+    layer_norm_stored,
     log_softmax_row,
     naive_matmul,
     relative_error,
@@ -128,6 +130,40 @@ def test_tape_replays_in_exact_reverse_order():
     assert order == ["matmul", "scale", "add"]
 
 
+def test_a_replayed_tape_is_empty_and_refuses_a_second_replay_or_backward():
+    x = DenseMatrix([[1.0, 2.0]])
+    tape = Tape()
+    loss = as_scalar(tape, scale(tape, x, 3.0))
+    tape.backward(loss)
+    assert tape.ops == [] and np.array_equal(x.grad, [[3.0, 3.0]])
+    for again in (tape.replay, lambda: tape.backward(loss)):
+        with pytest.raises(ValueError, match="already replayed"):
+            again()
+    assert np.array_equal(x.grad, [[3.0, 3.0]]) and loss.grad[0, 0] == 1.0  # nothing added, nothing seeded
+
+
+def test_replay_drops_each_closure_before_running_the_next():
+    # each closure checks that every closure replayed before it is gone
+    tape, alive = Tape(), []
+    finalized: list[int] = []
+
+    class Probe:
+        def __init__(self, i):
+            self.i = i
+
+        def __call__(self):
+            alive.append(sorted(finalized))
+
+        def __del__(self):
+            finalized.append(self.i)
+
+    for i in range(4):
+        tape.record("add", Probe(i))
+    tape.replay()
+    assert alive == [[], [3], [2, 3], [1, 2, 3]]
+    assert sorted(finalized) == [0, 1, 2, 3]
+
+
 # --------------------------------------------------------------------------
 # matmul
 # --------------------------------------------------------------------------
@@ -174,6 +210,34 @@ def test_matmul_backward_is_transpose_rule():
 def test_matmul_shape_mismatch_raises():
     with pytest.raises(ValueError):
         matmul(None, DenseMatrix(np.zeros((2, 3))), DenseMatrix(np.zeros((2, 3))))
+    with pytest.raises(ValueError, match="bias must be 1x3"):
+        matmul(None, DenseMatrix(np.zeros((2, 2))), DenseMatrix(np.zeros((2, 3))), DenseMatrix(np.zeros((1, 2))))
+
+
+def test_matmul_bias_is_bitwise_add_bias_on_the_product_in_one_buffer():
+    a, b, bias, g = RNG.normal(size=(5, 7)), RNG.normal(size=(7, 3)), RNG.normal(size=(1, 3)), RNG.normal(size=(5, 3))
+    runs = []
+    for fused in (True, False):
+        am, bm, biasm = DenseMatrix(a.copy()), DenseMatrix(b.copy()), DenseMatrix(bias.copy())
+        tape = Tape()
+        if fused:
+            out = matmul(tape, am, bm, biasm)
+        else:
+            out = add_bias(tape, matmul(tape, am, bm), biasm)
+        names = [name for name, _ in tape.ops]
+        out.ensure_grad()[...] = g
+        tape.replay()
+        runs.append((names, [x.tobytes() for x in (out.data, am.grad, bm.grad, biasm.grad)]))
+    assert runs[0] == runs[1] and runs[0][0] == ["matmul", "add_bias"]
+    am, bm = DenseMatrix(RNG.normal(size=(64, 32))), DenseMatrix(RNG.normal(size=(32, 512)))
+    biasm = DenseMatrix(RNG.normal(size=(1, 512)))
+    tracemalloc.start()
+    try:
+        out = matmul(None, am, bm, biasm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.data.nbytes  # one (m, n) buffer; add_bias on the product would take two
 
 
 # --------------------------------------------------------------------------
@@ -385,6 +449,40 @@ def test_layer_norm_standardizes_rows():
     assert np.allclose(out.var(axis=1), 1.0, atol=1e-4)  # eps shifts variance slightly
 
 
+def test_layer_norm_recomputing_its_rows_is_bitwise_the_stored_form():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(37, 96)) * 4.0 + 2.0
+    x[:3] *= np.logspace(-150, 150, 96)
+    gamma, beta, g = rng.normal(size=(1, 96)), rng.normal(size=(1, 96)), rng.normal(size=x.shape)
+    want_out, want_dx, want_dgamma, want_dbeta = layer_norm_stored(x, gamma, beta, g)
+    a, gm, bt = DenseMatrix(x.copy()), DenseMatrix(gamma.copy()), DenseMatrix(beta.copy())
+    tape = Tape()
+    out = layer_norm(tape, a, gm, bt)
+    out.ensure_grad()[...] = g
+    tape.replay()
+    assert out.data.tobytes() == want_out.tobytes()
+    assert layer_norm(None, DenseMatrix(x), gm, bt).data.tobytes() == want_out.tobytes()
+    for got, want in ((a, want_dx), (gm, want_dgamma), (bt, want_dbeta)):
+        assert got.grad.tobytes() == (np.zeros_like(want) + want).tobytes()  # grads accumulate onto +0.0
+
+
+@pytest.mark.parametrize("op, most", [("gelu", 3), ("layer_norm", 2)])
+def test_untaped_gelu_and_layer_norm_allocate_at_most_a_few_rows_sized_arrays(op, most):
+    # gelu: its tanh buffer, its output and one (1 + tanh) temporary; layer
+    # norm: its output buffer and the squares for the variance
+    x = DenseMatrix(RNG.normal(size=(64, 512)))
+    ones, zeros = DenseMatrix(np.ones((1, 512))), DenseMatrix(np.zeros((1, 512)))
+    run = (lambda: gelu(None, x)) if op == "gelu" else (lambda: layer_norm(None, x, ones, zeros))
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (most + 0.1) * x.data.nbytes
+
+
 def test_layer_norm_affine_and_fd():
     x = RNG.normal(size=(3, 6))
     gamma = RNG.normal(size=(1, 6))
@@ -483,6 +581,32 @@ def test_adamw_first_step_moves_param_by_lr_against_gradient_sign():
     opt.step()
     # bias-corrected first step is ~lr * sign(g) when eps is negligible
     assert np.allclose(p.data, [[1.0 - 0.01, -2.0 + 0.01]], atol=1e-6)
+
+
+@pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+def test_adamw_in_place_step_is_bitwise_the_expression_form(weight_decay):
+    rng = np.random.default_rng(3)
+    shapes = [(6, 5), (1, 5), (2, 3, 4)]
+    params = [DenseMatrix(rng.normal(size=s)) for s in shapes]
+    params[0].data.flags.writeable = False  # as a cached weight's bits leave it
+    want = [p.data.copy() for p in params]
+    moments = [(np.zeros(s), np.zeros(s)) for s in shapes]
+    opt = AdamW(params, lr=0.1, weight_decay=weight_decay)
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        grads[1] = None if t % 2 else grads[1]  # a missing gradient counts as all-zero
+        opt.zero_grad()
+        for p, g in zip(params, grads):
+            if g is not None:
+                p.ensure_grad()[...] = g
+        lr = 0.01 * t
+        opt.step(lr=lr)
+        for w, (m, v), g in zip(want, moments, grads):
+            adamw_expression_step(w, m, v, g, t, lr, weight_decay)
+        for p, w in zip(params, want):
+            assert p.data.tobytes() == w.tobytes()
+        for (m, v), m_opt, v_opt in zip(moments, opt._m, opt._v):
+            assert m.tobytes() == m_opt.tobytes() and v.tobytes() == v_opt.tobytes()
 
 
 def test_adamw_converges_on_quadratic():

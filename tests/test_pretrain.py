@@ -15,6 +15,7 @@ the per-sequence binarizer backward to round-off.
 from __future__ import annotations
 
 import copy
+import hashlib
 import io
 import weakref
 
@@ -245,6 +246,48 @@ def test_pretrain_metric_lines_and_seed_determinism():
         assert all(np.isfinite(floats))
         assert floats[2] == 0.0 and floats[3] == 0.0  # no teacher attached
         assert 0.0 <= floats[5] <= 1.0  # masked accuracy
+
+
+# SHA-256 of the parameters and log lines of three steps of bipft-b smoke
+# pretraining (estimator rank 8, 8 sequences a step), without and with a
+# full-precision distillation reference, as recorded with x86-64 OpenBLAS
+# before tapes freed their ops as they replayed.  Every change since has kept
+# these training bits.  A change that re-draws them (another summation order,
+# say) updates these digests on purpose and says so in CHANGES.md.
+GOLDEN_TRAINING_DIGESTS = {
+    "plain": "24989ff174559d1d9c67d51efb0692e0b981454ed70a054883435d45f42b1dce",
+    "distilled": "e01eabbc2bce893c84dea88b8d46ce3acfe883298b25b082a2724cbd6e7dcf19",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_TRAINING_DIGESTS))
+def test_smoke_pretraining_bits_match_the_golden_digest(kind):
+    corpus = parse_corpus(generate_toy_corpus(seed=1))
+    dims = dict(layers=2, hidden=128, heads=4, ffn=256, max_seq=64, vocab=len(corpus.vocab))
+    model = build_model(ModelConfig(**dims, variant="bipft_b", rank=8).validate(), seed=0)
+    teacher = None
+    if kind == "distilled":
+        teacher = build_model(ModelConfig(**dims, full_precision=True).validate(), seed=1)
+    log = io.StringIO()
+    pretrain_loop(
+        model, corpus, steps=3, batch_size=8, seed=0, teacher=teacher, peak_lr=3e-3, warmup_frac=0.05, log_stream=log
+    )
+    digest = hashlib.sha256()
+    for name, p in named_parameters(model):
+        digest.update(name.encode())
+        digest.update(p.data.tobytes())
+    digest.update(log.getvalue().encode())
+    assert digest.hexdigest() == GOLDEN_TRAINING_DIGESTS[kind]
+
+
+def test_training_leaves_no_gradient_behind():
+    corpus = toy_corpus()
+    model = build_model(tiny_config(len(corpus.vocab), variant="bipft_b", rank=2), seed=2)
+    pretrain_loop(model, corpus, steps=2, batch_size=3, seed=3)
+    assert all(p.grad is None for _, p in named_parameters(model))
+    data = encoded_task(corpus.vocab, seed=8, count=12)
+    finetune(model, data[:8], data[8:], epochs=1, n_classes=2, seed=4, lr=1e-3, batch_size=4)
+    assert all(p.grad is None for _, p in named_parameters(model))
 
 
 def test_pretrain_with_teacher_reports_distillation_terms():
