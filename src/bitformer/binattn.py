@@ -62,6 +62,7 @@ from .numerics import (
     DenseMatrix,
     Tape,
     add,
+    add_bias,
     add_constant,
     add_slices,
     affine,
@@ -377,14 +378,12 @@ def binary_linear(
 
     ``w_b`` is ``w`` already binarized (transposed, in ``mode``) by
     :func:`bitformer.model.binarize_linears`, its backward on another tape;
-    without it ``w`` is binarized here, with a backward on this tape.  The
-    bias is added into the product's own buffer
-    (:func:`~bitformer.numerics.matmul`).
+    without it ``w`` is binarized here, with a backward on this tape.
     """
     aq = binarize_activation_pm1(tape, a, in_q, mode)
     if w_b is None:
         w_b = binarize_weight(tape, w, mode, transposed=True)
-    return matmul(tape, aq, w_b, b)
+    return add_bias(tape, matmul(tape, aq, w_b), b)
 
 
 def _pack_shifted(x: Array, q: ElasticQuant | list[ElasticQuant]) -> tuple[PackedBitMatrix, Array]:

@@ -82,6 +82,7 @@ from .numerics import (
     DenseMatrix,
     Tape,
     add,
+    add_bias,
     gather_rows,
     gelu,
     layer_norm,
@@ -458,7 +459,7 @@ def head(tape: Tape | None, h: DenseMatrix, w: DenseMatrix, b: DenseMatrix) -> D
     few-row products differently when it reads the weight in place, so the
     copy keeps binary training bitwise what it was.
     """
-    return matmul(tape, h, transpose(tape, w), b)
+    return add_bias(tape, matmul(tape, h, transpose(tape, w)), b)
 
 
 def _heads(tape: Tape | None, model: Model, x: DenseMatrix) -> tuple[DenseMatrix, DenseMatrix]:

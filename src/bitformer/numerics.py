@@ -181,20 +181,14 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 
-def matmul(
-    tape: Tape | None, a: DenseMatrix, b: DenseMatrix, bias: DenseMatrix | None = None
-) -> DenseMatrix:
+def matmul(tape: Tape | None, a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """a (m, k) @ b (k, n) -> (m, n), slice by slice over a stack; dA = dC @ B^T, dB = A^T @ dC.
 
     Either operand may be a stack, and a 2-D operand is broadcast over the
-    other's slices.  A ``bias`` (1, n) is added into the product's own
-    buffer, which no backward reads: the result and both tape ops are those
-    of :func:`add_bias` on the product, without a second (m, n) array.
+    other's slices.
     """
     if a.cols != b.rows:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    if bias is not None:
-        _check_bias(b.cols, bias)
     out = DenseMatrix(a.data @ b.data)
     if tape is not None:
         x, y, da, db, dout = a.data, b.data, a.cell, b.cell, out.cell
@@ -207,10 +201,7 @@ def matmul(
             db.add(x.swapaxes(-1, -2) @ g)
 
         tape.record("matmul", bwd)
-    if bias is None:
-        return out
-    out.data += bias.data
-    return _biased(tape, out, bias, out.data)
+    return out
 
 
 def affine(tape: Tape | None, a: DenseMatrix, w: DenseMatrix, bias: DenseMatrix) -> DenseMatrix:
@@ -274,20 +265,11 @@ def add(tape: Tape | None, a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     return out
 
 
-def _check_bias(cols: int, bias: DenseMatrix) -> None:
-    if bias.rows != 1 or bias.cols != cols:
-        raise ValueError(f"bias must be 1x{cols}, got {bias.data.shape}")
-
-
 def add_bias(tape: Tape | None, a: DenseMatrix, bias: DenseMatrix) -> DenseMatrix:
     """a (m, n) + bias (1, n) broadcast over rows."""
-    _check_bias(a.cols, bias)
-    return _biased(tape, a, bias, a.data + bias.data)
-
-
-def _biased(tape: Tape | None, a: DenseMatrix, bias: DenseMatrix, value: Array) -> DenseMatrix:
-    """The node of ``value`` = a + bias, with the ``add_bias`` backward."""
-    out = DenseMatrix(value)
+    if bias.rows != 1 or bias.cols != a.cols:
+        raise ValueError(f"bias must be 1x{a.cols}, got {bias.data.shape}")
+    out = DenseMatrix(a.data + bias.data)
     if tape is not None:
         da, dbias, dout = a.cell, bias.cell, out.cell
 
@@ -635,10 +617,7 @@ class AdamW:
             s, u = (buf[: p.data.size].reshape(p.data.shape) for buf in scratch)
             m *= self.beta1
             v *= self.beta2
-            if p.grad is None:
-                m += 0.0  # adds (1 - b1) * 0, as the expressions do: a -0.0 becomes +0.0
-                v += 0.0
-            else:
+            if p.grad is not None:
                 np.multiply(p.grad, 1.0 - self.beta1, out=s)
                 m += s
                 np.square(p.grad, out=s)

@@ -234,8 +234,9 @@ def train_step(
     Memory: each item's tape frees its ops' saved arrays as its backward
     passes them (:meth:`~bitformer.numerics.Tape.replay`), so a step holds
     one item's forward at a time, plus the binarized weights and the
-    gradients.  Those are dropped before the update, and the update drops
-    every parameter's gradient: a step starts and ends with none.
+    gradients.  The tapes and binarized weights are dropped before the
+    update, and after it ``train_step`` drops every parameter's gradient
+    (``opt.zero_grad()``): a step starts and ends with none.
     """
     opt.zero_grad()
     weight_tape = Tape()

@@ -210,34 +210,6 @@ def test_matmul_backward_is_transpose_rule():
 def test_matmul_shape_mismatch_raises():
     with pytest.raises(ValueError):
         matmul(None, DenseMatrix(np.zeros((2, 3))), DenseMatrix(np.zeros((2, 3))))
-    with pytest.raises(ValueError, match="bias must be 1x3"):
-        matmul(None, DenseMatrix(np.zeros((2, 2))), DenseMatrix(np.zeros((2, 3))), DenseMatrix(np.zeros((1, 2))))
-
-
-def test_matmul_bias_is_bitwise_add_bias_on_the_product_in_one_buffer():
-    a, b, bias, g = RNG.normal(size=(5, 7)), RNG.normal(size=(7, 3)), RNG.normal(size=(1, 3)), RNG.normal(size=(5, 3))
-    runs = []
-    for fused in (True, False):
-        am, bm, biasm = DenseMatrix(a.copy()), DenseMatrix(b.copy()), DenseMatrix(bias.copy())
-        tape = Tape()
-        if fused:
-            out = matmul(tape, am, bm, biasm)
-        else:
-            out = add_bias(tape, matmul(tape, am, bm), biasm)
-        names = [name for name, _ in tape.ops]
-        out.ensure_grad()[...] = g
-        tape.replay()
-        runs.append((names, [x.tobytes() for x in (out.data, am.grad, bm.grad, biasm.grad)]))
-    assert runs[0] == runs[1] and runs[0][0] == ["matmul", "add_bias"]
-    am, bm = DenseMatrix(RNG.normal(size=(64, 32))), DenseMatrix(RNG.normal(size=(32, 512)))
-    biasm = DenseMatrix(RNG.normal(size=(1, 512)))
-    tracemalloc.start()
-    try:
-        out = matmul(None, am, bm, biasm)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * out.data.nbytes  # one (m, n) buffer; add_bias on the product would take two
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,11 @@ the per-sequence binarizer backward to round-off.
 from __future__ import annotations
 
 import copy
+import ctypes
+import glob
 import hashlib
 import io
+import os
 import weakref
 
 import numpy as np
@@ -250,18 +253,41 @@ def test_pretrain_metric_lines_and_seed_determinism():
 
 # SHA-256 of the parameters and log lines of three steps of bipft-b smoke
 # pretraining (estimator rank 8, 8 sequences a step), without and with a
-# full-precision distillation reference, as recorded with x86-64 OpenBLAS
-# before tapes freed their ops as they replayed.  Every change since has kept
-# these training bits.  A change that re-draws them (another summation order,
-# say) updates these digests on purpose and says so in CHANGES.md.
+# full-precision distillation reference, recorded before tapes freed their
+# ops as they replayed.  Every change since has kept these training bits.  A
+# change that re-draws them (another summation order, say) updates these
+# digests on purpose and says so in CHANGES.md.  The bits depend on the
+# numpy build and the BLAS kernel that ran the products, so the digests hold
+# only where both are those they were recorded with.
 GOLDEN_TRAINING_DIGESTS = {
     "plain": "24989ff174559d1d9c67d51efb0692e0b981454ed70a054883435d45f42b1dce",
     "distilled": "e01eabbc2bce893c84dea88b8d46ce3acfe883298b25b082a2724cbd6e7dcf19",
 }
+GOLDEN_TRAINING_CONDITIONS = {
+    "numpy": "2.4.6",
+    "blas": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
+}
+
+
+def _training_conditions() -> dict[str, str | None]:
+    """numpy's version and the running OpenBLAS's build and core, None when numpy bundles no OpenBLAS."""
+    blas = None
+    for path in glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_config64_", "openblas_get_config64_", "openblas_get_config"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                blas = fn().decode()
+                break
+    return {"numpy": np.__version__, "blas": blas}
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_TRAINING_DIGESTS))
 def test_smoke_pretraining_bits_match_the_golden_digest(kind):
+    conditions = _training_conditions()
+    if conditions != GOLDEN_TRAINING_CONDITIONS:
+        pytest.skip(f"digests recorded with {GOLDEN_TRAINING_CONDITIONS}, this machine runs {conditions}")
     corpus = parse_corpus(generate_toy_corpus(seed=1))
     dims = dict(layers=2, hidden=128, heads=4, ffn=256, max_seq=64, vocab=len(corpus.vocab))
     model = build_model(ModelConfig(**dims, variant="bipft_b", rank=8).validate(), seed=0)
