@@ -10,13 +10,16 @@ attention binarization residual.
 
 ``BITFORMER_THREADS=N`` sets the BLAS and OpenMP thread pools to N threads.
 It is applied here, on import of the package and before any submodule loads
-numpy, by setting the ``*_NUM_THREADS`` variables; in a process that loaded
-numpy before this package it has no effect.
+numpy, by setting the ``*_NUM_THREADS`` variables.  A process that loaded
+numpy first has already started its pools, so there the import warns
+(``RuntimeWarning``) if any of those variables differed from N.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+import warnings
 
 __version__ = "0.1.0"
 
@@ -42,9 +45,20 @@ def _set_thread_vars() -> None:
         cap = thread_cap()
     except ValueError:  # the command line reports it and exits 2
         return
-    if cap is not None:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(cap)
+    if cap is None:
+        return
+    started = "numpy" in sys.modules  # its pools read the variables when numpy loaded
+    late = [f"{var}={cap}" for var in _THREAD_VARS if started and os.environ.get(var) != str(cap)]
+    for var in _THREAD_VARS:
+        os.environ[var] = str(cap)
+    if late:
+        warnings.warn(
+            f"BITFORMER_THREADS={cap} does not take effect: numpy was imported before bitformer, "
+            f"so its thread pools started without {', '.join(late)}. Set them before Python "
+            "starts, or import bitformer before numpy.",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
 
 _set_thread_vars()

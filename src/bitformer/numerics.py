@@ -2,8 +2,11 @@
 
 All training math runs on float64 arrays: 2-D matrices, and 3-D stacks of
 them (one slice per attention head).  Differentiable operations are free
-functions that compute the forward with numpy and append one backward
-closure to a :class:`Tape`; ``Tape.backward`` replays the closures in exact
+functions that compute the forward with numpy, define their backward
+``bwd(g)`` on the output's gradient ``g``, and end with
+``return record_op(tape, name, out, bwd)``: :func:`record_op` alone
+records on a :class:`Tape`, skips a backward that no gradient reached, and
+does nothing untaped.  ``Tape.backward`` replays the closures in exact
 reverse order of recording, accumulating into per-matrix ``.grad`` buffers.
 A closure keeps only what its backward reads (:class:`GradCell`), and
 recomputes a cheap temporary from the op's input with the forward's own
@@ -26,6 +29,7 @@ record, here and in :mod:`bitformer.quant` and :mod:`bitformer.pretrain`;
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import partial
 
 import numpy as np
 
@@ -176,6 +180,32 @@ class Tape:
             raise ValueError("this tape was already replayed; record a new tape for another backward")
 
 
+def record_op(
+    tape: Tape | None, name: str, out: DenseMatrix, backward: Callable[[Array], None]
+) -> DenseMatrix:
+    """Record ``backward`` as op ``name``'s backward on ``tape``, and return ``out``.
+
+    Every tape op ends here.  With no tape nothing is recorded.  Otherwise
+    the tape gets a callable that holds ``out``'s cell, not ``out``: when the
+    replay reaches it, it calls ``backward(g)`` with ``out``'s gradient, or
+    does nothing if no gradient reached ``out``.  ``backward`` holds cells
+    and arrays, never nodes.  The callable is a ``partial`` rather than a
+    nested closure: two objects the garbage collector tracks instead of
+    four, which keeps a smoke training sequence's tape under CPython's
+    generation-0 threshold (700 new objects), so no collection runs per
+    sequence.
+    """
+    if tape is not None:
+        tape.record(name, partial(_backward_if_reached, out.cell, backward))
+    return out
+
+
+def _backward_if_reached(dout: GradCell, backward: Callable[[Array], None]) -> None:
+    g = dout.value
+    if g is not None:
+        backward(g)
+
+
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
@@ -189,19 +219,13 @@ def matmul(tape: Tape | None, a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """
     if a.cols != b.rows:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = DenseMatrix(a.data @ b.data)
-    if tape is not None:
-        x, y, da, db, dout = a.data, b.data, a.cell, b.cell, out.cell
+    x, y, da, db = a.data, b.data, a.cell, b.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            da.add(g @ y.swapaxes(-1, -2))
-            db.add(x.swapaxes(-1, -2) @ g)
+    def bwd(g):
+        da.add(g @ y.swapaxes(-1, -2))
+        db.add(x.swapaxes(-1, -2) @ g)
 
-        tape.record("matmul", bwd)
-    return out
+    return record_op(tape, "matmul", DenseMatrix(x @ y), bwd)
 
 
 def affine(tape: Tape | None, a: DenseMatrix, w: DenseMatrix, bias: DenseMatrix) -> DenseMatrix:
@@ -213,106 +237,65 @@ def affine(tape: Tape | None, a: DenseMatrix, w: DenseMatrix, bias: DenseMatrix)
         raise ValueError(
             f"affine shape mismatch: {a.data.shape} @ {w.data.shape}^T + {bias.data.shape}"
         )
-    y = a.data @ w.data.T
+    x, wx, da, dw, dbias = a.data, w.data, a.cell, w.cell, bias.cell
+    y = x @ wx.T
     y += bias.data
-    out = DenseMatrix(y)
-    if tape is not None:
-        x, wx, da, dw, dbias, dout = a.data, w.data, a.cell, w.cell, bias.cell, out.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            da.add(g @ wx)
-            dw.add(g.T @ x)
-            dbias.add(g.sum(axis=0, keepdims=True))
+    def bwd(g):
+        da.add(g @ wx)
+        dw.add(g.T @ x)
+        dbias.add(g.sum(axis=0, keepdims=True))
 
-        tape.record("affine", bwd)
-    return out
+    return record_op(tape, "affine", DenseMatrix(y), bwd)
 
 
 def transpose(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     """Swap the last two axes (each slice of a stack is transposed)."""
-    out = DenseMatrix(a.data.swapaxes(-1, -2))
-    if tape is not None:
-        da, dout = a.cell, out.cell
+    da = a.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            da.add(g.swapaxes(-1, -2))
+    def bwd(g):
+        da.add(g.swapaxes(-1, -2))
 
-        tape.record("transpose", bwd)
-    return out
+    return record_op(tape, "transpose", DenseMatrix(a.data.swapaxes(-1, -2)), bwd)
 
 
 def add(tape: Tape | None, a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = DenseMatrix(a.data + b.data)
-    if tape is not None:
-        da, db, dout = a.cell, b.cell, out.cell
+    da, db = a.cell, b.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            da.add(g)
-            db.add(g)
+    def bwd(g):
+        da.add(g)
+        db.add(g)
 
-        tape.record("add", bwd)
-    return out
+    return record_op(tape, "add", DenseMatrix(a.data + b.data), bwd)
 
 
 def add_bias(tape: Tape | None, a: DenseMatrix, bias: DenseMatrix) -> DenseMatrix:
     """a (m, n) + bias (1, n) broadcast over rows."""
     if bias.rows != 1 or bias.cols != a.cols:
         raise ValueError(f"bias must be 1x{a.cols}, got {bias.data.shape}")
-    out = DenseMatrix(a.data + bias.data)
-    if tape is not None:
-        da, dbias, dout = a.cell, bias.cell, out.cell
+    da, dbias = a.cell, bias.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            da.add(g)
-            dbias.add(g.sum(axis=0, keepdims=True))
+    def bwd(g):
+        da.add(g)
+        dbias.add(g.sum(axis=0, keepdims=True))
 
-        tape.record("add_bias", bwd)
-    return out
+    return record_op(tape, "add_bias", DenseMatrix(a.data + bias.data), bwd)
 
 
 def scale(tape: Tape | None, a: DenseMatrix, factor: float) -> DenseMatrix:
-    out = DenseMatrix(a.data * factor)
-    if tape is not None:
-        da, dout = a.cell, out.cell
+    da = a.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            da.add(g * factor)
+    def bwd(g):
+        da.add(g * factor)
 
-        tape.record("scale", bwd)
-    return out
+    return record_op(tape, "scale", DenseMatrix(a.data * factor), bwd)
 
 
 def add_constant(tape: Tape | None, a: DenseMatrix, shift: Array) -> DenseMatrix:
     """a + shift where shift is a plain array (no gradient into shift)."""
-    out = DenseMatrix(a.data + shift)
-    if tape is not None:
-        da, dout = a.cell, out.cell
-
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            da.add(g)
-
-        tape.record("add_constant", bwd)
-    return out
+    return record_op(tape, "add_constant", DenseMatrix(a.data + shift), a.cell.add)
 
 
 def gather_rows(tape: Tape | None, table: DenseMatrix, indices: Array) -> DenseMatrix:
@@ -322,35 +305,23 @@ def gather_rows(tape: Tape | None, table: DenseMatrix, indices: Array) -> DenseM
         raise ValueError("gather_rows needs a 1-D index array")
     if idx.size and (idx.min() < 0 or idx.max() >= table.rows):
         raise IndexError(f"row index out of range for table with {table.rows} rows")
-    out = DenseMatrix(table.data[idx])
-    if tape is not None:
-        dtable, dout = table.cell, out.cell
+    dtable = table.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            np.add.at(dtable.ensure(), idx, g)
+    def bwd(g):
+        np.add.at(dtable.ensure(), idx, g)
 
-        tape.record("gather_rows", bwd)
-    return out
+    return record_op(tape, "gather_rows", DenseMatrix(table.data[idx]), bwd)
 
 
 def slice_cols(tape: Tape | None, a: DenseMatrix, start: int, stop: int) -> DenseMatrix:
     if not (0 <= start < stop <= a.cols):
         raise ValueError(f"bad column slice [{start}:{stop}] for {a.cols} columns")
-    out = DenseMatrix(a.data[:, start:stop])
-    if tape is not None:
-        da, dout = a.cell, out.cell
+    da = a.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            da.ensure()[:, start:stop] += g
+    def bwd(g):
+        da.ensure()[:, start:stop] += g
 
-        tape.record("slice_cols", bwd)
-    return out
+    return record_op(tape, "slice_cols", DenseMatrix(a.data[:, start:stop]), bwd)
 
 
 def split_heads(tape: Tape | None, a: DenseMatrix, heads: int) -> DenseMatrix:
@@ -358,18 +329,13 @@ def split_heads(tape: Tape | None, a: DenseMatrix, heads: int) -> DenseMatrix:
     if a.data.ndim != 2 or heads < 1 or a.cols % heads:
         raise ValueError(f"cannot split shape {a.data.shape} into {heads} heads")
     m, width = a.rows, a.cols // heads
+    da = a.cell
+
+    def bwd(g):
+        da.add(g.transpose(1, 0, 2).reshape(m, heads * width))
+
     out = DenseMatrix(a.data.reshape(m, heads, width).transpose(1, 0, 2))
-    if tape is not None:
-        da, dout = a.cell, out.cell
-
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            da.add(g.transpose(1, 0, 2).reshape(m, heads * width))
-
-        tape.record("split_heads", bwd)
-    return out
+    return record_op(tape, "split_heads", out, bwd)
 
 
 def merge_heads(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
@@ -377,18 +343,13 @@ def merge_heads(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     if a.data.ndim != 3:
         raise ValueError(f"merge_heads needs a 3-D stack, got shape {a.data.shape}")
     heads, m, width = a.data.shape
+    da = a.cell
+
+    def bwd(g):
+        da.add(g.reshape(m, heads, width).transpose(1, 0, 2))
+
     out = DenseMatrix(a.data.transpose(1, 0, 2).reshape(m, heads * width))
-    if tape is not None:
-        da, dout = a.cell, out.cell
-
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            da.add(g.reshape(m, heads, width).transpose(1, 0, 2))
-
-        tape.record("merge_heads", bwd)
-    return out
+    return record_op(tape, "merge_heads", out, bwd)
 
 
 def add_slices(tape: Tape | None, a: DenseMatrix, parts: Sequence[DenseMatrix | None]) -> DenseMatrix:
@@ -399,21 +360,16 @@ def add_slices(tape: Tape | None, a: DenseMatrix, parts: Sequence[DenseMatrix | 
     for s, p in enumerate(parts):
         if p is not None:
             data[s] += p.data
-    out = DenseMatrix(data)
     if tape is not None:
-        da, dout = a.cell, out.cell
         dparts = [(s, p.cell) for s, p in enumerate(parts) if p is not None]
+    da = a.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            da.add(g)
-            for s, dp in dparts:
-                dp.add(g[s])
+    def bwd(g):
+        da.add(g)
+        for s, dp in dparts:
+            dp.add(g[s])
 
-        tape.record("add_slices", bwd)
-    return out
+    return record_op(tape, "add_slices", DenseMatrix(data), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +381,13 @@ def softmax_rows(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     """Row-wise softmax with max subtraction; each output row (of every slice) sums to 1."""
     e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = DenseMatrix(p)
-    if tape is not None:
-        da, dout = a.cell, out.cell
+    da = a.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            inner = (g * p).sum(axis=-1, keepdims=True)
-            da.add(p * (g - inner))
+    def bwd(g):
+        inner = (g * p).sum(axis=-1, keepdims=True)
+        da.add(p * (g - inner))
 
-        tape.record("softmax_rows", bwd)
-    return out
+    return record_op(tape, "softmax_rows", DenseMatrix(p), bwd)
 
 
 def layer_norm(
@@ -450,37 +400,31 @@ def layer_norm(
     """Per-row standardization followed by an affine map: gamma * x_hat + beta."""
     if gamma.data.shape != (1, a.cols) or beta.data.shape != (1, a.cols):
         raise ValueError("layer_norm affine params must be 1 x cols")
-    mu = a.data.mean(axis=1, keepdims=True)
-    y = a.data - mu
+    n, x, w = a.cols, a.data, gamma.data
+    dx, dgamma, dbeta = a.cell, gamma.cell, beta.cell
+    mu = x.mean(axis=1, keepdims=True)
+    y = x - mu
     var = (y * y).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y *= inv  # x_hat
-    y *= gamma.data
+    y *= w
     y += beta.data
-    out = DenseMatrix(y)
-    if tape is not None:
-        n, x, w = a.cols, a.data, gamma.data
-        dx, dgamma, dbeta, dout = a.cell, gamma.cell, beta.cell, out.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            xhat = x - mu  # recomputed as the forward computed it, from the input it keeps
-            xhat *= inv
-            dbeta.add(g.sum(axis=0, keepdims=True))
-            dgamma.add((g * xhat).sum(axis=0, keepdims=True))
-            dxhat = g * w
-            # standard layer-norm input gradient for per-row statistics
-            d_in = inv * (
-                dxhat
-                - dxhat.mean(axis=1, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / n
-            )
-            dx.add(d_in)
+    def bwd(g):
+        xhat = x - mu  # recomputed as the forward computed it, from the input it keeps
+        xhat *= inv
+        dbeta.add(g.sum(axis=0, keepdims=True))
+        dgamma.add((g * xhat).sum(axis=0, keepdims=True))
+        dxhat = g * w
+        # standard layer-norm input gradient for per-row statistics
+        d_in = inv * (
+            dxhat
+            - dxhat.mean(axis=1, keepdims=True)
+            - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / n
+        )
+        dx.add(d_in)
 
-        tape.record("layer_norm", bwd)
-    return out
+    return record_op(tape, "layer_norm", DenseMatrix(y), bwd)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -496,7 +440,7 @@ def gelu(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     built in place in one buffer, in the formula's order, which the backward
     keeps as ``tanh``, the one temporary it stores.
     """
-    x = a.data
+    x, da = a.data, a.cell
     t = x * x
     t *= x
     t *= 0.044715
@@ -505,20 +449,13 @@ def gelu(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
     np.tanh(t, out=t)
     y = 0.5 * x
     y *= 1.0 + t
-    out = DenseMatrix(y)
-    if tape is not None:
-        da, dout = a.cell, out.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-            dt = (1.0 - t * t) * dinner
-            da.add(g * (0.5 * (1.0 + t) + 0.5 * x * dt))
+    def bwd(g):
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+        dt = (1.0 - t * t) * dinner
+        da.add(g * (0.5 * (1.0 + t) + 0.5 * x * dt))
 
-        tape.record("gelu", bwd)
-    return out
+    return record_op(tape, "gelu", DenseMatrix(y), bwd)
 
 
 def cross_entropy(
@@ -548,23 +485,19 @@ def cross_entropy(
     else:
         rows = np.nonzero(keep)[0]
         value = float(-logp[rows, t[rows]].sum() / count)
-    out = DenseMatrix([[value]])
-    if tape is not None:
-        dlogits_cell, dout = logits.cell, out.cell
+    dlogits_cell = logits.cell
 
-        def bwd():
-            g = dout.value
-            if g is None or count == 0:
-                return
-            p = np.exp(logp)
-            dlogits = p.copy()
-            rows = np.nonzero(keep)[0]
-            dlogits[rows, t[rows]] -= 1.0
-            dlogits[~keep] = 0.0
-            dlogits_cell.add(dlogits * (g[0, 0] / count))
+    def bwd(g):
+        if count == 0:
+            return
+        p = np.exp(logp)
+        dlogits = p.copy()
+        rows = np.nonzero(keep)[0]
+        dlogits[rows, t[rows]] -= 1.0
+        dlogits[~keep] = 0.0
+        dlogits_cell.add(dlogits * (g[0, 0] / count))
 
-        tape.record("cross_entropy", bwd)
-    return out
+    return record_op(tape, "cross_entropy", DenseMatrix([[value]]), bwd)
 
 
 # ---------------------------------------------------------------------------

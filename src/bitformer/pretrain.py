@@ -35,6 +35,7 @@ from .numerics import (
     cross_entropy,
     gather_rows,
     linear_warmup_schedule,
+    record_op,
     scale,
 )
 from .rng import substream
@@ -103,19 +104,14 @@ def kl_to_teacher(
     log_ps = _log_softmax(student_logits.data / temperature)
     p_t = np.exp(log_pt)
     value = float((p_t * (log_pt - log_ps)).sum() / rows)
-    out = DenseMatrix([[value]])
     if tape is not None:
         p_s = np.exp(log_ps)
-        dstudent, dout = student_logits.cell, out.cell
+    dstudent = student_logits.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            dstudent.add((p_s - p_t) * (g[0, 0] / (temperature * rows)))
+    def bwd(g):
+        dstudent.add((p_s - p_t) * (g[0, 0] / (temperature * rows)))
 
-        tape.record("kl_to_teacher", bwd)
-    return out
+    return record_op(tape, "kl_to_teacher", DenseMatrix([[value]]), bwd)
 
 
 def hidden_mse(tape: Tape | None, student: DenseMatrix, target: Array) -> DenseMatrix:
@@ -127,18 +123,12 @@ def hidden_mse(tape: Tape | None, student: DenseMatrix, target: Array) -> DenseM
         )
     diff = student.data - target
     count = diff.size
-    out = DenseMatrix([[float((diff * diff).sum() / count)]])
-    if tape is not None:
-        dstudent, dout = student.cell, out.cell
+    dstudent = student.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            dstudent.add(diff * (2.0 * g[0, 0] / count))
+    def bwd(g):
+        dstudent.add(diff * (2.0 * g[0, 0] / count))
 
-        tape.record("hidden_mse", bwd)
-    return out
+    return record_op(tape, "hidden_mse", DenseMatrix([[float((diff * diff).sum() / count)]]), bwd)
 
 
 def distill_losses(

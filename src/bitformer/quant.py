@@ -30,10 +30,12 @@ binarizer for both.
 Hard forwards are step functions, so every binarizer declares a clip
 surrogate and its backward closure is the exact almost-everywhere gradient of
 that surrogate; gradient tests difference the surrogate, not the step.  The
-one deliberate exception is the ±1 level: the hard forward is already linear
-in ``alpha``, so its gradient is the readout sign itself.  ``mode="relaxed"``
-runs the surrogate as the forward — that is what whole-network finite
-differencing uses — while the backward closures are identical in both modes.
+±1 level is no exception: the hard forward is linear in ``alpha`` with slope
+``sign(a - beta)``, but the level's gradient is the surrogate's
+``clip(a - beta, -1, 1)``, which equals that sign only where the window has
+saturated.  ``mode="relaxed"`` runs the surrogate as the forward — that is
+what whole-network finite differencing uses — while the backward closures are
+identical in both modes.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Literal
 import numpy as np
 
 from .bitkernel import PackedBitMatrix, pack_bits
-from .numerics import Array, DenseMatrix, Tape
+from .numerics import Array, DenseMatrix, Tape, record_op
 
 QuantMode = Literal["hard", "relaxed"]
 
@@ -137,14 +139,14 @@ def binarize_weight(
         levels = _sign_pm1(centered) if mode == "hard" else np.clip(centered, -1.0, 1.0)
         levels *= scales
         value[rows] = levels
-    out = DenseMatrix(value.T if transposed else value)
-    if tape is not None:
-        dout = out.cell
-        tape.record("binarize_weight", lambda: _weight_backward(w, dout.value, transposed))
-    return out
+
+    def bwd(g):
+        _weight_backward(w, g, transposed)  # w itself: its data and cell are what this reads
+
+    return record_op(tape, "binarize_weight", DenseMatrix(value.T if transposed else value), bwd)
 
 
-def _weight_backward(w: DenseMatrix, g: Array | None, transposed: bool) -> None:
+def _weight_backward(w: DenseMatrix, g: Array, transposed: bool) -> None:
     """Add to ``w.grad`` the surrogate gradient for ``g``, a gradient of ``binarize_weight``'s value.
 
     This is the exact gradient of the declared surrogate: the sign path
@@ -154,8 +156,6 @@ def _weight_backward(w: DenseMatrix, g: Array | None, transposed: bool) -> None:
     recomputes the centered values and scales from ``w.data``, so it must
     run before the optimizer changes ``w``.
     """
-    if g is None:
-        return
     grad = w.ensure_grad()
     for rows, centered, scales in _weight_rows(w.data):
         # a private (out, in) row-major copy: the row reductions below keep
@@ -270,26 +270,21 @@ def binarize_activation_pm1(
     shifted = a.data - beta
     levels = _sign_pm1(shifted) if mode == "hard" else np.clip(shifted, -1.0, 1.0, out=shifted)
     levels *= alpha
-    out = DenseMatrix(levels)
     if tape is not None:
         alpha_free = (alpha_raw > ALPHA_FLOOR).reshape(-1)
-        x, da, dout = a.data, a.cell, out.cell
+    x, da = a.data, a.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            shifted = x - beta
-            g_window = g * (np.abs(shifted) <= 1.0)
-            d_beta = -alpha.reshape(-1) * _slice_sums(g_window, len(qs))
-            g_window *= alpha
-            da.add(g_window)
-            g_clipped = np.clip(shifted, -1.0, 1.0, out=shifted)
-            g_clipped *= g
-            _add_param_grads(qs, alpha_free * _slice_sums(g_clipped, len(qs)), d_beta)
+    def bwd(g):
+        shifted = x - beta
+        g_window = g * (np.abs(shifted) <= 1.0)
+        d_beta = -alpha.reshape(-1) * _slice_sums(g_window, len(qs))
+        g_window *= alpha
+        da.add(g_window)
+        g_clipped = np.clip(shifted, -1.0, 1.0, out=shifted)
+        g_clipped *= g
+        _add_param_grads(qs, alpha_free * _slice_sums(g_clipped, len(qs)), d_beta)
 
-        tape.record("binarize_activation_pm1", bwd)
-    return out
+    return record_op(tape, "binarize_activation_pm1", DenseMatrix(levels), bwd)
 
 
 def binarize_attention_01(
@@ -327,15 +322,11 @@ def binarize_attention_01(
     if tape is not None:
         inside = (u > 0.0) & (u < 1.0)
         sat_hi = u >= 1.0
-        datt, dout = att.cell, out.cell
+    datt = att.cell
 
-        def bwd():
-            g = dout.value
-            if g is None:
-                return
-            g_inside = g * inside
-            datt.add(g_inside)
-            _add_param_grads(qs, _slice_sums(g * sat_hi, len(qs)), -_slice_sums(g_inside, len(qs)))
+    def bwd(g):
+        g_inside = g * inside
+        datt.add(g_inside)
+        _add_param_grads(qs, _slice_sums(g * sat_hi, len(qs)), -_slice_sums(g_inside, len(qs)))
 
-        tape.record("binarize_attention_01", bwd)
-    return out
+    return record_op(tape, "binarize_attention_01", out, bwd)

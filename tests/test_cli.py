@@ -7,6 +7,7 @@ covered by the library tests and the acceptance suite.
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 
 from bitformer.cli import EXIT_NUMERIC_ABORT, EXIT_SCHEMA_MISMATCH, EXIT_USAGE, main
 from bitformer.data import SPECIAL_TOKENS, generate_toy_corpus, generate_toy_task
-from bitformer.model import load_checkpoint
+from bitformer.model import CheckpointFormatError, load_checkpoint
 from bitformer.pretrain import TrainingAbort
 
 
@@ -332,6 +333,36 @@ def test_inspect_checkpoint_whose_dims_overflow_int64_exits_4(pretrained_run, tm
     assert "truncated checkpoint" in capsys.readouterr().err
 
 
+def _rehashed(raw: bytearray) -> bytes:
+    """``raw`` with a digest that matches its body, so only the layout is at fault."""
+    raw[-8:] = hashlib.blake2b(raw[:-8], digest_size=8).digest()
+    return bytes(raw)
+
+
+def _second_emb_tok(raw: bytearray) -> bytes:
+    at = raw.index(b"emb.pos")  # as long as "emb.tok", so the layout still parses
+    raw[at : at + 7] = b"emb.tok"
+    return _rehashed(raw)
+
+
+@pytest.mark.parametrize(
+    "fault, named",
+    [
+        (lambda raw: bytes(raw[:15]), "file too short to be a checkpoint (15 bytes)"),
+        (_second_emb_tok, "duplicate tensor 'emb.tok'"),
+        (lambda raw: _rehashed(raw[:-8] + b"\x00" * 3 + raw[-8:]), "3 trailing bytes after tensors"),
+    ],
+    ids=["too-short", "duplicate-name", "trailing-bytes"],
+)
+def test_checkpoint_layout_faults_are_named_and_inspect_exits_4(pretrained_run, tmp_path, capsys, fault, named):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(fault(bytearray((pretrained_run / "model.ckpt").read_bytes())))
+    with pytest.raises(CheckpointFormatError, match=re.escape(named)):
+        load_checkpoint(bad)
+    assert main(["inspect", "--checkpoint", str(bad)]) == EXIT_SCHEMA_MISMATCH
+    assert named in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # environment knobs
 # --------------------------------------------------------------------------
@@ -383,28 +414,46 @@ print("none")
 """
 
 
-def test_thread_cap_env_reaches_openblas():
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    env["BITFORMER_THREADS"] = "1"
+def _python(code: str, env: dict[str, str]) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this tree's ``bitformer``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join([src, env["PYTHONPATH"]]) if env.get("PYTHONPATH") else src
-    out = subprocess.run(
-        [sys.executable, "-c", _OPENBLAS_THREADS_AFTER_CLI],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    ).stdout.strip()
+    env = dict(env, PYTHONPATH=os.pathsep.join([src, env["PYTHONPATH"]]) if env.get("PYTHONPATH") else src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+
+
+def _env_without_thread_vars(**extra: str) -> dict[str, str]:
+    return {**{k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}, **extra}
+
+
+def test_thread_cap_env_reaches_openblas():
+    out = _python(_OPENBLAS_THREADS_AFTER_CLI, _env_without_thread_vars(BITFORMER_THREADS="1")).stdout.strip()
     if out == "none":
         pytest.skip("numpy bundles no OpenBLAS whose thread count can be read")
     assert out == "1"
 
 
+_ALL_AT_ONE = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+
+
+@pytest.mark.parametrize(
+    "code, preset, warns",
+    [
+        ("import numpy, bitformer", {}, True),
+        ("import numpy, bitformer", {"OPENBLAS_NUM_THREADS": "4"}, True),
+        ("import bitformer, numpy", {}, False),
+        ("import numpy, bitformer", _ALL_AT_ONE, False),  # the pools already run one thread
+    ],
+)
+def test_thread_cap_that_comes_too_late_for_numpy_warns(code, preset, warns):
+    err = _python(code, _env_without_thread_vars(BITFORMER_THREADS="1", **preset)).stderr
+    assert ("RuntimeWarning: BITFORMER_THREADS=1 does not take effect" in err) == warns, err
+    assert ("import bitformer before numpy" in err) == warns
+
+
 def test_importing_the_cli_loads_no_thread_pool_or_logging():
     # the checkpoint digest worker's executor is imported where it runs, not by
     # every command: concurrent.futures brings logging, about 5 ms of import
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join([src, env["PYTHONPATH"]]) if env.get("PYTHONPATH") else src
     code = "import sys, bitformer.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
-    ).stdout.strip()
-    assert out == "[]"
+    assert _python(code, dict(os.environ)).stdout.strip() == "[]"

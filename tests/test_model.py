@@ -200,6 +200,31 @@ def test_sequence_longer_than_max_seq_is_rejected():
         forward(model, np.arange(5) % 4)
 
 
+@pytest.mark.parametrize(
+    "tokens, extra, match",
+    [
+        (np.array([[2, 5], [6, 3]]), {}, "non-empty 1-D"),
+        (np.array([], dtype=np.int64), {}, "non-empty 1-D"),
+        (np.array([2, TINY["vocab"], 3]), {}, "outside the vocabulary"),
+        (np.array([2, -1, 3]), {}, "outside the vocabulary"),
+        (np.array([2, 5, 3]), {"segment_ids": np.array([0, 2, 1])}, "segment ids must be 0/1"),
+        (np.array([2, 5, 3]), {"segment_ids": np.array([0, 1])}, "segment ids must be 0/1"),
+        (np.array([2, 5, 3]), {"pad_mask": np.array([True, False])}, "pad mask must match"),
+    ],
+    ids=["2-d", "empty", "id-past-vocab", "negative-id", "segment-2", "short-segments", "short-pad-mask"],
+)
+def test_malformed_sequences_are_rejected_by_both_forwards(tokens, extra, match):
+    model = build_model(tiny_config(), seed=0)
+    for run in (forward, forward_packed):
+        with pytest.raises(ValueError, match=match):
+            run(model, tokens, **extra)
+
+
+def test_packed_forward_refuses_the_full_precision_twin():
+    with pytest.raises(ValueError, match="binary models only"):
+        forward_packed(build_model(tiny_config(full_precision=True), seed=0), np.array([2, 5, 3]))
+
+
 def test_zeroed_estimators_match_estimator_free_forward():
     plain = build_model(tiny_config(variant="bipft_a"), seed=5)
     est = build_model(tiny_config(variant="bipft_b", rank=2), seed=5)

@@ -7,14 +7,18 @@ perturbation 1e-5 with relative error < 1e-4.
 
 from __future__ import annotations
 
+import ast
 import math
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bitformer
 from bitformer.binattn import FullPrecisionOps
 from bitformer.numerics import (
     AdamW,
@@ -32,6 +36,7 @@ from bitformer.numerics import (
     linear_warmup_schedule,
     matmul,
     merge_heads,
+    record_op,
     scale,
     slice_cols,
     softmax_rows,
@@ -162,6 +167,60 @@ def test_replay_drops_each_closure_before_running_the_next():
     tape.replay()
     assert alive == [[], [3], [2, 3], [1, 2, 3]]
     assert sorted(finalized) == [0, 1, 2, 3]
+
+
+def test_record_op_runs_only_the_backwards_that_a_gradient_reached():
+    a, b = DenseMatrix([[1.0, -2.0]]), DenseMatrix([[0.5, 3.0]])
+    tape, ran = Tape(), []
+    seeded = scale(tape, a, 2.0)
+    gelu(tape, b)  # its output gets no gradient
+    record_op(tape, "add", DenseMatrix([[0.0]]), ran.append)  # nor does this one's
+    seeded.ensure_grad()[...] = 1.0
+    tape.replay()
+    assert ran == [] and b.grad is None
+    assert np.array_equal(a.grad, [[2.0, 2.0]])
+
+
+def test_an_untaped_op_records_nothing_and_keeps_nothing_alive(monkeypatch):
+    def refuse(tape, name, backward):
+        raise AssertionError(f"an untaped {name} recorded a backward")
+
+    b = DenseMatrix(RNG.normal(size=(4, 2)))
+    with monkeypatch.context() as patched:
+        patched.setattr(Tape, "record", refuse)
+        out = DenseMatrix([[1.0]])
+        assert record_op(None, "add", out, lambda g: None) is out
+        a = DenseMatrix(RNG.normal(size=(3, 4)))
+        ref = weakref.ref(a.data)
+        matmul(None, a, b)
+        del a
+        assert ref() is None
+    # taped, the same input lives until the replay has passed its op
+    tape, a = Tape(), DenseMatrix(RNG.normal(size=(3, 4)))
+    ref = weakref.ref(a.data)
+    matmul(tape, a, b)
+    del a
+    assert ref() is not None
+    tape.replay()
+    assert ref() is None
+
+
+def test_record_op_is_the_only_caller_of_tape_record():
+    """The op protocol lives in one place: no other code in the package touches ``.record``."""
+    users = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "record":
+                users.append(scope)
+            visit(child, scope)
+
+    for path in sorted(Path(bitformer.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert users == ["numerics.record_op"]
 
 
 # --------------------------------------------------------------------------

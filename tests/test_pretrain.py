@@ -34,9 +34,10 @@ from bitformer.data import (
     generate_toy_task,
     parse_corpus,
 )
-from bitformer.model import ModelConfig, build_model, forward, named_parameters
+from bitformer.model import ModelConfig, build_model, forward, model_binarizers, named_parameters
 from bitformer.numerics import DenseMatrix, Tape
 from bitformer.pretrain import (
+    LEVEL_FLOOR,
     DistillTargets,
     FinetuneResult,
     TrainingAbort,
@@ -341,6 +342,30 @@ def test_nan_inside_a_binarized_weight_is_absorbed_not_fatal():
     model.blocks[0].attn.wq.data[0, 1] = np.nan
     metrics = pretrain_loop(model, corpus, steps=1, batch_size=2, seed=3)
     assert np.isfinite(metrics[0].loss_mlm)
+
+
+def test_a_non_finite_reference_aborts_naming_the_first_bad_loss_term():
+    # every parameter of the student is finite, so the abort names the first
+    # non-finite loss sum: the hidden-state term, ahead of the logit term
+    corpus = toy_corpus()
+    teacher = build_model(tiny_config(len(corpus.vocab), full_precision=True), seed=4)
+    teacher.blocks[0].attn.wq.data[0, 0] = np.nan
+    model = build_model(tiny_config(len(corpus.vocab)), seed=2)
+    with pytest.raises(TrainingAbort, match="loss_rep") as err:
+        pretrain_loop(model, corpus, steps=1, batch_size=2, seed=3, teacher=teacher)
+    assert err.value.tensor_name == "loss_rep"
+
+
+def test_a_level_below_the_floor_is_projected_back_to_it():
+    corpus = toy_corpus()
+    model = build_model(tiny_config(len(corpus.vocab)), seed=2)
+    levels = [q.alpha for q in model_binarizers(model)]
+    levels[0].data[0, 0] = 1e-6
+    before = [lvl.data.copy() for lvl in levels]
+    # a one-step schedule ends at lr 0, so only the projection moves a level
+    pretrain_loop(model, corpus, steps=1, batch_size=2, seed=3)
+    assert levels[0].data[0, 0] == LEVEL_FLOOR
+    assert all(np.array_equal(lvl.data, was) for lvl, was in zip(levels[1:], before[1:]))
 
 
 def test_pretrain_reduces_mlm_loss_on_the_toy_corpus():
