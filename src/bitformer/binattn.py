@@ -11,11 +11,12 @@ paths model what weight binarization throws away:
   binarized weights leaves exactly three cross terms (binary x remainder,
   remainder x binary, remainder x remainder).  Head h owns a contiguous
   block of the rank columns of the four score factors, and its correction
-  is the three-term product over that block alone.  With rank equal to the
-  hidden width each block is as wide as the head, the factors can hold the
-  head's slices of those matrices verbatim, and each head's binary scores
-  plus its own estimate reproduce that head's full-precision scores to
-  float accuracy.
+  is the three-term product over that block alone; one tape op,
+  :func:`score_residual`, computes every head's correction as one stack.
+  With rank equal to the hidden width each block is as wide as the head,
+  the factors can hold the head's slices of those matrices verbatim, and
+  each head's binary scores plus its own estimate reproduce that head's
+  full-precision scores to float accuracy.
 * value path — one rank-r map of the layer input whose per-head column block
   rides on the same selection pattern as the binary value mix, recovering
   the value-projection remainder the same way.
@@ -26,8 +27,7 @@ the projections (``linear``), the ``scores`` product, the ``select`` step
 that binarizes the attention maps, and the value ``mix``.  All heads of a
 layer run together, as (heads, positions, head width) stacks, each head with
 its own binarizers.  Everything else (head splits, softmax, estimator paths,
-norms) is the same ``numerics`` ops in every route.  There are three op
-sets:
+norms) is the same ops in every route.  There are three op sets:
 
 * :class:`SimOps` — float simulation of the binary products, taped (what
   training runs) or relaxed (what finite differencing runs)
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import groupby
 
 import numpy as np
 
@@ -64,12 +65,11 @@ from .numerics import (
     add,
     add_bias,
     add_constant,
-    add_slices,
     affine,
     matmul,
     merge_heads,
+    record_op,
     scale,
-    slice_cols,
     softmax_rows,
     split_heads,
     transpose,
@@ -220,27 +220,56 @@ def init_estimators(
     return est
 
 
-def score_residual(
-    tape: Tape | None,
-    a: DenseMatrix,
-    est: ResidualEstimators,
-    block: tuple[int, int] | None = None,
-) -> DenseMatrix:
-    """Three-term estimate of what weight binarization drops from one head's scores.
+def score_residual(tape: Tape | None, a: DenseMatrix, est: ResidualEstimators, heads: int) -> DenseMatrix:
+    """Every head's three-term estimate of what weight binarization drops from its scores.
 
-    With t_x = a @ w_x[:, lo:hi] over the head's non-empty column block
-    (``head_rank_blocks``; all columns when ``block`` is None, as for a
-    single-head layer), returns t_q t_ks^T + t_qs t_k^T + t_qs t_ks^T, added
-    to that head's raw scores before the head-width scaling.
+    With t_x = a @ w_x[:, lo:hi] over head h's column block
+    (``head_rank_blocks``), slice h of the returned (heads, n, n) stack is
+    t_q t_ks^T + t_qs t_k^T + t_qs t_ks^T, added to that head's raw scores
+    before the head-width scaling; a head with an empty block gets zeros.
+
+    One tape op.  Heads whose blocks have the same width form a run (at
+    most two), whose factor blocks stack head first, then factor (q, k, q*,
+    k*), so ``a @ stack`` is one stacked product.  It makes the BLAS calls
+    of one op per head and product, and adds into ``a`` in their replay
+    order (last head first; k*, q*, k, q within a head), so its gradients
+    are bitwise that loop's.
     """
     factors = (est.w_q, est.w_k, est.w_q_star, est.w_k_star)
-    if block is not None:
-        factors = tuple(slice_cols(tape, f, *block) for f in factors)
-    t_q, t_k, t_qs, t_ks = (matmul(tape, a, f) for f in factors)
-    term1 = matmul(tape, t_q, transpose(tape, t_ks))
-    term2 = matmul(tape, t_qs, transpose(tape, t_k))
-    term3 = matmul(tape, t_qs, transpose(tape, t_ks))
-    return add(tape, add(tape, term1, term2), term3)
+    x, (n, hidden) = a.data, a.data.shape
+    out = np.zeros((heads, n, n))
+    runs = []
+    blocks = head_rank_blocks(est.rank, heads)
+    for width, run in groupby(range(heads), key=lambda h: blocks[h][1] - blocks[h][0]):
+        run = list(run)
+        if width == 0:
+            continue
+        h0, h1 = run[0], run[-1] + 1
+        cols = slice(blocks[h0][0], blocks[h1 - 1][1])
+        f = np.stack([w.data[:, cols].reshape(hidden, -1, width).transpose(1, 0, 2) for w in factors], axis=1)
+        f = f.reshape(-1, hidden, width)
+        t = (x @ f).reshape(h1 - h0, 4, n, width)
+        t_q, t_k, t_qs, t_ks = t.swapaxes(0, 1)
+        t_k_t, t_ks_t = (np.ascontiguousarray(y.swapaxes(-1, -2)) for y in (t_k, t_ks))
+        out[h0:h1] = t_q @ t_ks_t + t_qs @ t_k_t + t_qs @ t_ks_t
+        runs.append((h0, h1, cols, f, t, t_k_t, t_ks_t))
+    da, dfactors = a.cell, [w.cell for w in factors]
+
+    def bwd(g):
+        for h0, h1, cols, f, t, t_k_t, t_ks_t in reversed(runs):
+            gh = g[h0:h1]
+            t_q, _, t_qs, _ = t.swapaxes(0, 1)
+            d_q = gh @ t_ks_t.swapaxes(-1, -2)  # G t_ks, term 3's part of d_qs too
+            d_k = (t_qs.swapaxes(-1, -2) @ gh).swapaxes(-1, -2)  # (t_qs^T G)^T, term 3's part of d_ks too
+            d_qs = d_q + gh @ t_k_t.swapaxes(-1, -2)  # terms 3 and 2, in the loop's order
+            d_ks = d_k + (t_q.swapaxes(-1, -2) @ gh).swapaxes(-1, -2)  # terms 3 and 1
+            dt = np.stack([d_q, d_k, d_qs, d_ks], axis=1).reshape(f.shape[0], n, -1)
+            da.add(dt @ f.swapaxes(-1, -2))
+            df = (x.T @ dt).reshape(h1 - h0, 4, hidden, -1)
+            for i, dw in enumerate(dfactors):
+                dw.ensure()[:, cols] += df[:, i].transpose(1, 0, 2).reshape(hidden, -1)
+
+    return record_op(tape, "score_residual", DenseMatrix(out), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +549,13 @@ def attend(
     """One attention layer over one sequence (rows = positions), in any op set.
 
     Queries, keys and values are split once into (heads, n, head width)
-    stacks, and each step after that (scores, scaling, pad bias, softmax,
-    selection, value mix) is one op over every head, each head reading its
-    own binarizers.  The score-estimator corrections are computed per head,
-    since the heads' rank blocks can differ in width, and enter the stacked
-    scores through one op.  ``key_mask`` marks real key positions with True;
-    padded keys take a large negative score bias and are never selected.
-    ``trace``, when a dict, receives per-head lists of soft maps ("att") and
-    selections ("att_selected").
+    stacks, and each step after that (scores, score-estimator correction,
+    scaling, pad bias, softmax, selection, value mix) is one op over every
+    head, each head reading its own binarizers and factor column block.
+    ``key_mask`` marks real key positions with True; padded keys take a
+    large negative score bias and are never selected.  ``trace``, when a
+    dict, receives per-head lists of soft maps ("att") and selections
+    ("att_selected").
     """
     tape = ops.tape
     heads = layer.heads
@@ -544,9 +572,7 @@ def attend(
     q, k, v = (split_heads(tape, x, heads) for x in (q, k, v))
     scores = ops.scores(q, k, layer.head_q, layer.head_k)
     if est is not None:
-        blocks = head_rank_blocks(est.rank, heads)
-        corrections = [score_residual(tape, a, est, (lo, hi)) if lo < hi else None for lo, hi in blocks]
-        scores = add_slices(tape, scores, corrections)
+        scores = add(tape, scores, score_residual(tape, a, est, heads))
     scores = scale(tape, scores, inv)
     if key_mask is not None:
         scores = add_constant(tape, scores, np.where(key_mask, 0.0, PAD_SCORE_BIAS))

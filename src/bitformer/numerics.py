@@ -22,8 +22,8 @@ a stack.
 
 Passing ``tape=None`` runs any op forward-only, which is what inference and
 the packed-kernel comparisons use.  ``TAPE_OPS`` names every op a tape may
-record, here and in :mod:`bitformer.quant` and :mod:`bitformer.pretrain`;
-``Tape.record`` refuses any other name.
+record, here and in :mod:`bitformer.binattn`, :mod:`bitformer.quant` and
+:mod:`bitformer.pretrain`; ``Tape.record`` refuses any other name.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ TAPE_OPS = frozenset(
     {
         # numerics
         "matmul", "affine", "transpose", "add", "add_bias", "scale", "add_constant", "gather_rows",
-        "slice_cols", "split_heads", "merge_heads", "add_slices", "softmax_rows", "layer_norm", "gelu",
-        "cross_entropy",
+        "split_heads", "merge_heads", "softmax_rows", "layer_norm", "gelu", "cross_entropy",
+        # binattn
+        "score_residual",
         # quant
         "binarize_weight", "binarize_activation_pm1", "binarize_attention_01",
         # pretrain
@@ -313,17 +314,6 @@ def gather_rows(tape: Tape | None, table: DenseMatrix, indices: Array) -> DenseM
     return record_op(tape, "gather_rows", DenseMatrix(table.data[idx]), bwd)
 
 
-def slice_cols(tape: Tape | None, a: DenseMatrix, start: int, stop: int) -> DenseMatrix:
-    if not (0 <= start < stop <= a.cols):
-        raise ValueError(f"bad column slice [{start}:{stop}] for {a.cols} columns")
-    da = a.cell
-
-    def bwd(g):
-        da.ensure()[:, start:stop] += g
-
-    return record_op(tape, "slice_cols", DenseMatrix(a.data[:, start:stop]), bwd)
-
-
 def split_heads(tape: Tape | None, a: DenseMatrix, heads: int) -> DenseMatrix:
     """a (m, heads * d) -> stack (heads, m, d): slice h holds column block h."""
     if a.data.ndim != 2 or heads < 1 or a.cols % heads:
@@ -350,26 +340,6 @@ def merge_heads(tape: Tape | None, a: DenseMatrix) -> DenseMatrix:
 
     out = DenseMatrix(a.data.transpose(1, 0, 2).reshape(m, heads * width))
     return record_op(tape, "merge_heads", out, bwd)
-
-
-def add_slices(tape: Tape | None, a: DenseMatrix, parts: Sequence[DenseMatrix | None]) -> DenseMatrix:
-    """Stack a (S, m, n) with each 2-D ``parts[s]`` added to slice s; a None part adds nothing."""
-    if a.data.ndim != 3 or len(parts) != a.data.shape[0]:
-        raise ValueError(f"add_slices needs one part per slice of {a.data.shape}, got {len(parts)}")
-    data = a.data.copy()
-    for s, p in enumerate(parts):
-        if p is not None:
-            data[s] += p.data
-    if tape is not None:
-        dparts = [(s, p.cell) for s, p in enumerate(parts) if p is not None]
-    da = a.cell
-
-    def bwd(g):
-        da.add(g)
-        for s, dp in dparts:
-            dp.add(g[s])
-
-    return record_op(tape, "add_slices", DenseMatrix(data), bwd)
 
 
 # ---------------------------------------------------------------------------

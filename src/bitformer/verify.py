@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .binattn import head_rank_blocks, score_residual, zero_estimators
+from .binattn import ResidualEstimators, score_residual, zero_estimators
 from .bitkernel import binary_accumulate, pack_signs, ternary_accumulate
 from .model import ModelConfig, build_model, forward, forward_packed, model_binarizers, named_parameters
 from .numerics import (
@@ -25,7 +25,6 @@ from .numerics import (
     add,
     add_bias,
     add_constant,
-    add_slices,
     affine,
     cross_entropy,
     gather_rows,
@@ -34,7 +33,6 @@ from .numerics import (
     matmul,
     merge_heads,
     scale,
-    slice_cols,
     softmax_rows,
     split_heads,
     transpose,
@@ -156,12 +154,13 @@ def _max_rel(got: np.ndarray | None, want: np.ndarray, floor: float = 1e-6) -> f
 
 
 def _grad_case_ops(rng: np.random.Generator) -> float:
-    """One composite graph exercising every differentiable numerics op and both distillation losses.
+    """One graph exercising every differentiable numerics op, ``score_residual`` and both distillation losses.
 
     All ops in the graph are smooth at generic inputs, so any point works;
     FD runs over every entry of every leaf (far more than ten points).  The
     middle of the graph runs on a two-head stack, with the 2-D leaf ``m``
-    broadcast over it from either side.
+    broadcast over it from either side and the score estimators' correction
+    added to it, at rank 3 over the two heads (blocks of width 2 and 1).
     """
     x0 = DenseMatrix(rng.normal(size=(3, 4)))
     x1 = DenseMatrix(rng.normal(size=(3, 4)))
@@ -173,7 +172,8 @@ def _grad_case_ops(rng: np.random.Generator) -> float:
     targets = np.array([1, -100, 3])
     teacher_logits = rng.normal(size=(3, 4))
     teacher_hidden = rng.normal(size=(3, 4))
-    leaves = [x0, x1, w, gamma, beta, bias, m]
+    est = ResidualEstimators(*(DenseMatrix(rng.normal(size=(4, 3)) * 0.5) for _ in range(6)))
+    leaves = [x0, x1, w, gamma, beta, bias, m, est.w_q, est.w_k, est.w_q_star, est.w_k_star]
 
     def graph() -> tuple[Tape, DenseMatrix]:
         tape = Tape()
@@ -185,10 +185,10 @@ def _grad_case_ops(rng: np.random.Generator) -> float:
         h = gelu(tape, h)
         h = scale(tape, add_constant(tape, h, 0.1), 0.5)
         s = split_heads(tape, h, 2)
-        s = add_slices(tape, matmul(tape, s, transpose(tape, s)), [m, None])
+        s = add(tape, matmul(tape, s, transpose(tape, s)), score_residual(tape, x0, est, 2))
         s = softmax_rows(tape, scale(tape, s, 0.5))
         h = merge_heads(tape, matmul(tape, m, matmul(tape, s, m)))
-        h = slice_cols(tape, h, 1, 5)
+        h = matmul(tape, h, w)
         h = gather_rows(tape, h, np.array([2, 0, 2]))
         loss = add(tape, cross_entropy(tape, h, targets), kl_to_teacher(tape, h, teacher_logits, 2.0))
         return tape, add(tape, loss, hidden_mse(tape, h, teacher_hidden))
@@ -320,8 +320,8 @@ def check_exact_recovery(seed: int = 0, instances: int = 50) -> CheckResult:
     query/key weights and their binarization remainders verbatim; binary
     scores plus the estimate must then equal the full-precision scores to
     float accuracy.  Checked for a single head and, on the same weights,
-    per head of a two-head split: each head's binary scores plus the
-    correction from its own factor column block must equal that head's
+    for a two-head split in one stacked call: each head's binary scores plus
+    the correction from its own factor column block must equal that head's
     full-precision scores.
     """
     rng = substream(seed, "verify-recovery")
@@ -343,16 +343,16 @@ def check_exact_recovery(seed: int = 0, instances: int = 50) -> CheckResult:
         est.w_k_star.data[...] = (wk - wk_b).T
 
         binary_scores = (a @ wq_b.T) @ (a @ wk_b.T).T
-        res = score_residual(None, DenseMatrix(a), est).data
+        res = score_residual(None, DenseMatrix(a), est, 1).data[0]
         full = (a @ wq.T) @ (a @ wk.T).T
         worst = max(worst, float(np.abs(binary_scores + res - full).max()))
 
-        for h, block in enumerate(head_rank_blocks(hidden, heads)):
+        res_heads = score_residual(None, DenseMatrix(a), est, heads).data
+        for h in range(heads):
             rows = slice(h * dk, (h + 1) * dk)
             binary_h = (a @ wq_b[rows].T) @ (a @ wk_b[rows].T).T
-            res_h = score_residual(None, DenseMatrix(a), est, block).data
             full_h = (a @ wq[rows].T) @ (a @ wk[rows].T).T
-            worst = max(worst, float(np.abs(binary_h + res_h - full_h).max()))
+            worst = max(worst, float(np.abs(binary_h + res_heads[h] - full_h).max()))
     return CheckResult(
         name="exact-recovery",
         passed=worst < 1e-8,

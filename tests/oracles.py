@@ -12,7 +12,8 @@ and the binarizer backward then runs once per weight on that sum, through
 the closure of a fresh taped ``quant.binarize_weight``.  They check the per-step
 weight binarization and its deferred backward, not the math.
 ``per_head_attend`` is the same kind of exception: ``binattn.attend`` as
-a loop of 2-D tape ops, one head at a time.
+a loop of 2-D tape ops, one head at a time, with its own column slices
+(``slice_cols``) and its own per-head score-estimator product.
 ``estimator_factors`` is plain test plumbing shared by two test modules.
 """
 
@@ -282,26 +283,36 @@ def _concat_cols(tape, parts):
     return out
 
 
+def slice_cols(tape, a, lo, hi):
+    """Columns ``lo:hi`` of ``a`` as a contiguous copy, as one tape op."""
+    from bitformer.numerics import DenseMatrix
+
+    out = DenseMatrix(a.data[:, lo:hi])
+    if tape is not None:
+
+        def bwd():
+            if out.grad is not None:
+                a.ensure_grad()[:, lo:hi] += out.grad
+
+        tape.record("split_heads", bwd)  # the per-head loop's form of the stack's split
+    return out
+
+
 def per_head_attend(ops, a, layer, key_mask=None, trace=None):
     """``binattn.attend`` one head at a time: column slices, per-head 2-D products, a concat.
 
     ``ops`` is a ``SimOps``, ``PackedOps`` or ``FullPrecisionOps``; only its
     tape, mode and ``linear`` are used.  Each head's scores, selection and
-    value mix are the per-head forms of those op sets, each head reads its
-    own binarizers, and its score-estimator correction is added to its
-    scores by a 2-D ``add``.  Returns the layer output; ``trace`` receives
-    per-head lists like ``attend``'s.
+    value mix are the per-head forms of those op sets, and each head reads
+    its own binarizers.  A head with a non-empty rank block adds its own
+    score-estimator correction, the three-term product over its factor
+    column block built from 2-D ops, to its scores by a 2-D ``add``.
+    Returns the layer output; ``trace`` receives per-head lists like
+    ``attend``'s.
     """
-    from bitformer.binattn import (
-        PAD_SCORE_BIAS,
-        FullPrecisionOps,
-        PackedOps,
-        _pack_shifted,
-        head_rank_blocks,
-        score_residual,
-    )
+    from bitformer.binattn import PAD_SCORE_BIAS, FullPrecisionOps, PackedOps, _pack_shifted, head_rank_blocks
     from bitformer.bitkernel import binary_gemm, pack_signs, ternary_binary_gemm
-    from bitformer.numerics import add, add_constant, matmul, scale, slice_cols, softmax_rows, transpose
+    from bitformer.numerics import add, add_constant, matmul, scale, softmax_rows, transpose
     from bitformer.quant import ALPHA_FLOOR, binarize_activation_pm1, binarize_attention_01
 
     def floored_level(q):
@@ -329,6 +340,14 @@ def per_head_attend(ops, a, layer, key_mask=None, trace=None):
             return ternary_binary_gemm(bits_sel, _pack_shifted(v_h.data.T, v_bin)[0], level)
         return matmul(tape, sel, binarize_activation_pm1(tape, v_h, v_bin, mode))
 
+    def score_residual(lo, hi):
+        factors = [slice_cols(tape, f, lo, hi) for f in (est.w_q, est.w_k, est.w_q_star, est.w_k_star)]
+        t_q, t_k, t_qs, t_ks = (matmul(tape, a, f) for f in factors)
+        term1 = matmul(tape, t_q, transpose(tape, t_ks))
+        term2 = matmul(tape, t_qs, transpose(tape, t_k))
+        term3 = matmul(tape, t_qs, transpose(tape, t_ks))
+        return add(tape, add(tape, term1, term2), term3)
+
     dk = layer.head_width
     inv = 1.0 / math.sqrt(dk)
     est = layer.estimators
@@ -349,7 +368,7 @@ def per_head_attend(ops, a, layer, key_mask=None, trace=None):
         lo, hi = h * dk, (h + 1) * dk
         s = scores(slice_cols(tape, q, lo, hi), slice_cols(tape, k, lo, hi), layer.head_q[h], layer.head_k[h])
         if blocks[h] is not None:
-            s = add(tape, s, score_residual(tape, a, est, blocks[h]))
+            s = add(tape, s, score_residual(*blocks[h]))
         s = scale(tape, s, inv)
         if pad_bias is not None:
             s = add_constant(tape, s, pad_bias)

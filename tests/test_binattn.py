@@ -32,7 +32,7 @@ from bitformer.binattn import (
     zero_estimators,
 )
 from bitformer.bitkernel import pack_signs
-from bitformer.model import _state_nodes
+from bitformer.model import ModelConfig, _state_nodes, binarize_linears, build_model, forward
 from bitformer.numerics import DenseMatrix, Tape
 from bitformer.quant import ElasticQuant, binarize_weight, weight_row_scales
 
@@ -143,17 +143,21 @@ def assert_stacked_attend_is_the_per_head_loop(op_set, rank, padded, n, hidden):
 
 
 def test_score_residual_matches_three_term_formula():
-    n, c, r = 5, 6, 2
+    # one head; three heads with blocks of width 2, 2 and 1; three heads with an empty block
+    n, c = 5, 6
     a = RNG.normal(size=(n, c))
-    est = zero_estimators(c, r)
-    for f in (est.w_q, est.w_k, est.w_q_star, est.w_k_star):
-        f.data[...] = RNG.normal(size=(c, r))
+    for r, heads in ((2, 1), (5, 3), (2, 3)):
+        est = zero_estimators(c, r)
+        factors = (est.w_q, est.w_k, est.w_q_star, est.w_k_star)
+        for f in factors:
+            f.data[...] = RNG.normal(size=(c, r))
 
-    out = score_residual(None, DenseMatrix(a), est)
-    wq, wk = est.w_q.data, est.w_k.data
-    wqs, wks = est.w_q_star.data, est.w_k_star.data
-    want = (a @ wq) @ (a @ wks).T + (a @ wqs) @ (a @ wk).T + (a @ wqs) @ (a @ wks).T
-    assert np.allclose(out.data, want, atol=1e-12)
+        out = score_residual(None, DenseMatrix(a), est, heads)
+        assert out.data.shape == (heads, n, n)
+        for h, (lo, hi) in enumerate(head_rank_blocks(r, heads)):
+            t_q, t_k, t_qs, t_ks = (a @ f.data[:, lo:hi] for f in factors)
+            want = t_q @ t_ks.T + t_qs @ t_k.T + t_qs @ t_ks.T
+            assert np.allclose(out.data[h], want, atol=1e-12)
 
 
 def test_full_rank_factors_recover_full_precision_scores():
@@ -175,7 +179,7 @@ def test_full_rank_factors_recover_full_precision_scores():
         est.w_k_star.data[...] = (wk - wk_b).T
 
         binary_scores = (a @ wq_b.T) @ (a @ wk_b.T).T
-        res = score_residual(None, DenseMatrix(a), est).data
+        res = score_residual(None, DenseMatrix(a), est, 1).data[0]
         full = (a @ wq.T) @ (a @ wk.T).T
         assert np.max(np.abs(binary_scores + res - full)) < 1e-8
 
@@ -209,10 +213,29 @@ def test_head_with_empty_rank_block_gets_no_score_correction():
 
 
 def test_zero_factors_contribute_exactly_nothing():
+    # rank 1 over 2 heads: head 0's block holds zero factors, head 1's block is empty
     a = DenseMatrix(RNG.normal(size=(4, 8)))
     est = zero_estimators(8, 1)
-    out = score_residual(None, a, est)
-    assert np.array_equal(out.data, np.zeros((4, 4)))
+    out = score_residual(None, a, est, 2)
+    assert out.data.shape == (2, 4, 4)
+    for h in range(2):
+        assert np.array_equal(out.data[h], np.zeros((4, 4)))
+
+
+def test_taped_bipft_b_forward_records_one_score_residual_op_per_layer():
+    # smoke dimensions, where the tapes hold 104 and 88 ops: bipft-b adds 8 per
+    # layer to bipft-a's (the value path's product, transpose, split, two matmuls
+    # and add, the scores' add and score_residual itself)
+    dims = dict(layers=2, hidden=128, heads=4, ffn=256, max_seq=64, vocab=40)
+    ids = np.arange(20) % dims["vocab"]
+    ops = {}
+    for variant, rank in (("bipft_a", 0), ("bipft_b", 8)):
+        model = build_model(ModelConfig(**dims, variant=variant, rank=rank).validate(), seed=0)
+        tape = Tape()
+        forward(model, ids, tape=tape, weights=binarize_linears(model, Tape()))
+        ops[variant] = [name for name, _ in tape.ops]
+    assert ops["bipft_b"].count("score_residual") == dims["layers"]
+    assert len(ops["bipft_b"]) - len(ops["bipft_a"]) == 8 * dims["layers"]
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from bitformer.numerics import (
     add,
     add_bias,
     add_constant,
-    add_slices,
     affine,
     cross_entropy,
     gather_rows,
@@ -38,7 +37,6 @@ from bitformer.numerics import (
     merge_heads,
     record_op,
     scale,
-    slice_cols,
     softmax_rows,
     split_heads,
     transpose,
@@ -285,15 +283,10 @@ def test_structural_ops_forward_and_fd():
     assert np.allclose(add_bias(None, DenseMatrix(a), DenseMatrix(bias)).data, a + bias)
     assert np.allclose(transpose(None, DenseMatrix(a)).data, a.T)
     assert np.allclose(scale(None, DenseMatrix(a), -2.5).data, -2.5 * a)
-    assert np.allclose(slice_cols(None, DenseMatrix(a), 1, 3).data, a[:, 1:3])
 
     fd_against_tape(lambda t, ps: as_scalar(t, add(t, ps[0], ps[1])), [a.copy(), b.copy()])
     fd_against_tape(lambda t, ps: as_scalar(t, add_bias(t, ps[0], ps[1])), [a.copy(), bias.copy()])
     fd_against_tape(lambda t, ps: as_scalar(t, transpose(t, ps[0])), [a.copy()])
-    fd_against_tape(
-        lambda t, ps: as_scalar(t, matmul(t, slice_cols(t, ps[0], 0, 2), transpose(t, slice_cols(t, ps[0], 2, 4)))),
-        [a.copy()],
-    )
 
 
 def test_affine_forward_and_fd_for_input_weight_and_bias():
@@ -369,21 +362,6 @@ def test_stacked_ops_equal_their_per_slice_matrix_ops_bitwise():
     assert bm.grad.tobytes() == bm_ref.grad.tobytes()
 
     assert np.array_equal(transpose(None, DenseMatrix(stack)).data, [x.T for x in stack])
-
-
-def test_add_slices_adds_each_part_to_its_slice_and_fd():
-    a = RNG.normal(size=(3, 2, 2))
-    part = RNG.normal(size=(2, 2))
-    out = add_slices(None, DenseMatrix(a), [None, DenseMatrix(part), None])
-    assert np.array_equal(out.data, [a[0], a[1] + part, a[2]])
-    with pytest.raises(ValueError):
-        add_slices(None, DenseMatrix(a), [None])
-
-    readout = DenseMatrix(RNG.normal(size=(6, 1)))
-    fd_against_tape(
-        lambda t, ps: as_scalar(t, matmul(t, merge_heads(t, add_slices(t, ps[0], [ps[1], None, ps[1]])), readout)),
-        [a.copy(), part.copy()],
-    )
 
 
 def test_gather_rows_with_gradients():
